@@ -1,15 +1,14 @@
 """Record the reference outputs that every benchmark run is checked against.
 
-    python3 perfbench/make_reference.py [--workload NAME ...]
+    python3 perfbench/make_reference.py
 
-Runs each workload once per input instance, with the same code path as a
-benchmark run, and stores its outputs (per-epoch losses and accuracies)
-in reference.json. Rerun only when the program's numbers change on
-purpose or a workload is redefined.
+Runs every workload once per input instance, with the same code path as a
+benchmark run, and writes its outputs (per-epoch losses and accuracies)
+to reference.json from scratch. Rerun only when the program's numbers
+change on purpose or a workload is redefined.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -20,20 +19,14 @@ sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 from perfbench import run as bench  # noqa: E402
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", action="append", default=None)
-    args = parser.parse_args(argv)
+def main() -> int:
     for var in bench.BLAS_ENV:
         os.environ[var] = str(bench.BLAS_THREADS)
 
     from perfbench import workloads
 
     reference = {}
-    if os.path.isfile(workloads.REFERENCE_PATH):
-        with open(workloads.REFERENCE_PATH, encoding="utf-8") as fh:
-            reference = json.load(fh)
-    for name in args.workload or list(workloads.WORKLOADS):
+    for name in workloads.WORKLOADS:
         reference[name] = {}
         for instance in range(workloads.INSTANCES):
             result = workloads.run_workload(name, instance, 0.0, False, bench.OUT_DIR, None)
