@@ -8,9 +8,10 @@ clustered structure of protein and molecule graphs. Node labels follow a
 class-dependent distribution, except that the dataset's first nodes take
 label indices 0, 1, ... in turn, so every label appears and the parsed
 one-hot width is exactly the label count. Continuous node
-attributes are a class-aligned direction plus noise, which spreads
-untrained edge scores on both sides of the pooling threshold so pooling
-contracts at initialisation.
+attributes are a class-aligned direction with a random sign per node,
+plus noise. The per-node sign spreads untrained edge scores on both
+sides of the pooling threshold inside each graph, so pooling contracts
+at initialisation on most graphs.
 
 The generator never reads a file; the benchmark writes its output with
 ``lgrpool.data.emit_tu_dataset`` and hands the program only that
@@ -88,7 +89,7 @@ def generate(spec: DatasetSpec, seed: int) -> GraphDataset:
         blocks = [np.eye(spec.node_labels)[node_labels]]
         if spec.attr_dim:
             attrs = rng.normal(0.0, ATTR_NOISE, size=(n, spec.attr_dim))
-            attrs[:, label % spec.attr_dim] += ATTR_SCALE
+            attrs[:, label % spec.attr_dim] += ATTR_SCALE * rng.choice((-1.0, 1.0), size=n)
             blocks.append(attrs)
         graphs.append(
             Graph(
