@@ -127,8 +127,8 @@ def main(argv=None) -> int:
     for problem in result["problems"]:
         print(f"CHECK FAILED: {problem}")
 
+    sample_counts = {name: len(samples) for name, samples in result["samples"].items()}
     with open(os.path.join(OUT_DIR, f"result-{tag}.json"), "w", encoding="utf-8") as fh:
-        sample_counts = {name: len(samples) for name, samples in result["samples"].items()}
         json.dump({**result, "sample_counts": sample_counts, "metrics": metrics, "failed_frac": failed_frac},
                   fh, indent=1, default=str)
     print(json.dumps({
