@@ -16,6 +16,7 @@ import json
 import math
 import os
 import resource
+import shutil
 import statistics
 import sys
 import tempfile
@@ -39,6 +40,11 @@ SETUP_REPS = 3
 # positive.
 CONFIG = TrainingConfig(epochs=1, em_rounds_max=2, em_tolerance=1e-12)
 EVAL_SEEDS = (0, 1, 2)
+# eval-saved's run directory holds a checkpoint for each of these seeds:
+# the EVAL_SEEDS ones trained, the rest copies of them. Evaluation is
+# forward only, so its cost does not depend on the weights; the copies
+# give each ``lgrpool eval`` call more evaluation per dataset parse.
+EVAL_RUN_SEEDS = tuple(range(10))
 # eval-saved trains its checkpoints on these leading train/val/test
 # graphs of each seed's split, then evaluates them on the full test split.
 EVAL_TRAIN_SUBSET = (256, 16, 16)
@@ -290,19 +296,26 @@ def _train(run: Run, rec: SpanRecorder, label: str, splits, config, expected):
 
 
 def train_section(run: Run, rec: SpanRecorder, splits, seconds: float) -> dict:
-    """Whole em_train calls for about ``seconds`` (at least one); one
-    sample of each end-to-end number per call."""
+    """Whole em_train calls for about ``seconds`` (at least one).
+
+    Each end-to-end number is pooled over the run's calls: total work
+    over total time. A run fits only a few calls, and on a shared host,
+    whose speed changes every few seconds, the pooled numbers of ten runs
+    spread less than medians of per-call numbers."""
     outputs = {"train": None}
+    calls = []
 
     def once():
         _, outputs["train"], call = _train(run, rec, "em_train", splits, CONFIG, run.expected("train"))
         if call is None:
             return False
-        for key, value in train_samples(rec, [call]).items():
-            run.add(key, value)
+        calls.append(call)
         return True
 
     repeat(seconds, once)
+    if calls:
+        for key, value in train_samples(rec, calls).items():
+            run.add(key, value)
     return outputs
 
 
@@ -317,20 +330,22 @@ def _cli_eval(run_dir: str) -> dict:
 
 
 def eval_section(run: Run, rec: SpanRecorder, ds, data_dir: str, work: str, seconds: float) -> dict:
-    """Train a checkpoint per seed, then time ``lgrpool eval`` in-process
-    on the run directory for about ``seconds`` (at least once). The
-    trainings come before the budget, so it all goes to eval calls."""
+    """Train a checkpoint per EVAL_SEEDS seed and copy them to the other
+    EVAL_RUN_SEEDS, then time ``lgrpool eval`` in-process on the run
+    directory for about ``seconds`` (at least once). The trainings come
+    before the budget, so it all goes to eval calls.
+
+    Like the train numbers, eval_graphs_per_s is pooled over the run's
+    calls: test graphs over the time ``cli.main`` spent after parsing,
+    since ``setup_s`` times parsing.
+    """
     run_dir = os.path.join(work, "run")
     os.makedirs(run_dir, exist_ok=True)
     outputs = {"train": {}, "eval": None}
-    test_graphs = 0
     calls = []
     for seed in EVAL_SEEDS:
-        train, val, test = data.split_dataset(ds, SplitSpec(seed=seed))
-        test_graphs += len(test.graphs)
-        subsets = [
-            part.subset(range(n)) for part, n in zip((train, val, test), EVAL_TRAIN_SUBSET)
-        ]
+        splits = data.split_dataset(ds, SplitSpec(seed=seed))
+        subsets = [part.subset(range(n)) for part, n in zip(splits, EVAL_TRAIN_SUBSET)]
         config = CONFIG.with_overrides(seed=seed)
         params, outputs["train"][str(seed)], call = _train(
             run, rec, f"em_train seed {seed}", subsets, config, run.expected("train", str(seed))
@@ -339,12 +354,21 @@ def eval_section(run: Run, rec: SpanRecorder, ds, data_dir: str, work: str, seco
             return outputs
         calls.append(call)
         training.save_checkpoint(os.path.join(run_dir, f"checkpoint_seed{seed}.json"), params, config)
+    for seed in EVAL_RUN_SEEDS[len(EVAL_SEEDS):]:
+        shutil.copyfile(
+            os.path.join(run_dir, f"checkpoint_seed{EVAL_SEEDS[seed % len(EVAL_SEEDS)]}.json"),
+            os.path.join(run_dir, f"checkpoint_seed{seed}.json"),
+        )
     # The seeds' trainings differ in kind (pooling dies at different
     # rounds), so they are pooled into one sample rather than medianed.
     for key, value in train_samples(rec, calls).items():
         if key != "eval_graphs_per_s":
             run.add(key, value)
-    cli.write_manifest(run_dir, "train", CONFIG, ds.name, data_dir, EVAL_SEEDS)
+    cli.write_manifest(run_dir, "train", CONFIG, ds.name, data_dir, EVAL_RUN_SEEDS)
+    test_graphs = sum(
+        len(data.split_dataset(ds, SplitSpec(seed=seed))[2].graphs) for seed in EVAL_RUN_SEEDS
+    )
+    eval_s = []
 
     def once():
         accs = run.attempt(rec, "cli eval", _cli_eval, run_dir)
@@ -355,10 +379,12 @@ def eval_section(run: Run, rec: SpanRecorder, ds, data_dir: str, work: str, seco
         spans = _span_durations(rec, len(rec.run_ids) - 1)
         (cli_s,) = [s[3] for s in spans if s[1] == "cli.main"]
         (parse_s,) = [s[3] for s in spans if s[1] == "data.parse_tu_dataset"]
-        run.add("eval_graphs_per_s", test_graphs / (cli_s - parse_s))
+        eval_s.append(cli_s - parse_s)
         return True
 
     repeat(seconds, once)
+    if eval_s:
+        run.add("eval_graphs_per_s", test_graphs * len(eval_s) / sum(eval_s))
     return outputs
 
 
