@@ -18,7 +18,11 @@ class ShapeMismatch(LgrPoolError):
 
     def __init__(self, op: str, shape_a, shape_b):
         super().__init__(f"{op}: incompatible shapes {shape_a} and {shape_b}")
+        self.op = op
         self.shapes = (tuple(shape_a), tuple(shape_b))
+
+    def __reduce__(self):
+        return type(self), (self.op, *self.shapes)
 
 
 class NonFinite(LgrPoolError):

@@ -45,6 +45,10 @@ class PoolingParams:
             out.append((f"pool.{idx}.a", layer.a))
         return out
 
+    def constants(self) -> "PoolingParams":
+        """The same arrays as constants, so no tape reaches them."""
+        return PoolingParams([PoolLayerParams(ad.constant(x.w.data), ad.constant(x.a.data)) for x in self.layers])
+
 
 def init_pooling_params(
     hidden: int, num_layers: int, rng: np.random.Generator
@@ -132,13 +136,14 @@ def score_edges(z: Value, edges, layer: PoolLayerParams) -> Value:
     """
     if z.data.shape[1] != layer.w.data.shape[0]:
         raise ShapeMismatch("score_edges", z.data.shape, layer.w.data.shape)
-    idx_i = [e[0] for e in edges]
-    idx_j = [e[1] for e in edges]
+    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    h = layer.w.data.shape[1]
     p = ad.matmul(z, layer.w)
-    pi = ad.gather_rows(p, idx_i)
-    pj = ad.gather_rows(p, idx_j)
-    s_ij = ad.sigmoid(ad.matmul(ad.concat_cols(pi, pj), layer.a))
-    s_ji = ad.sigmoid(ad.matmul(ad.concat_cols(pj, pi), layer.a))
+    # [p_i, p_j] @ a == p_i @ a[:h] + p_j @ a[h:]: project nodes, then gather.
+    proj_i = ad.matmul(p, ad.gather_rows(layer.a, np.arange(h)))
+    proj_j = ad.matmul(p, ad.gather_rows(layer.a, np.arange(h, 2 * h)))
+    s_ij = ad.sigmoid(ad.add(ad.gather_rows(proj_i, ends[:, 0]), ad.gather_rows(proj_j, ends[:, 1])))
+    s_ji = ad.sigmoid(ad.add(ad.gather_rows(proj_i, ends[:, 1]), ad.gather_rows(proj_j, ends[:, 0])))
     return ad.scale(ad.add(s_ij, s_ji), 0.5)
 
 

@@ -39,6 +39,10 @@ class PropagationParams:
             ("prop.bc", self.bc),
         ]
 
+    def constants(self) -> "PropagationParams":
+        """The same arrays as constants, so no tape reaches them."""
+        return PropagationParams(*(ad.constant(v.data) for _, v in self.items()))
+
 
 @dataclass
 class PropagationOutput:

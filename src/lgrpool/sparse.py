@@ -38,10 +38,12 @@ class SparseMatrix:
             self.indices.min() < 0 or self.indices.max() >= n_cols
         ):
             raise ValueError("column index out of range")
-        for r in range(n_rows):
-            row = self.indices[self.indptr[r] : self.indptr[r + 1]]
-            if np.any(np.diff(row) <= 0):
-                raise ValueError(f"column indices not strictly sorted in row {r}")
+        row_start = np.zeros(len(self.indices) + 1, dtype=bool)
+        row_start[self.indptr] = True
+        bad = np.flatnonzero((np.diff(self.indices) <= 0) & ~row_start[1:-1])
+        if bad.size:
+            r = np.searchsorted(self.indptr, bad[0] + 1, side="right") - 1
+            raise ValueError(f"column indices not strictly sorted in row {r}")
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape) -> "SparseMatrix":

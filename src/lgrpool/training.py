@@ -151,8 +151,9 @@ def evaluate(params: ParameterSet, dataset: GraphDataset, config: TrainingConfig
     if not dataset.graphs:
         raise EmptySplit(f"cannot evaluate on empty split {dataset.name!r}")
     correct = 0
+    prop = params.prop.constants()
     for graph in dataset.graphs:
-        out = propagate_graph(graph, params.prop, config.alpha, config.k)
+        out = propagate_graph(graph, prop, config.alpha, config.k)
         if int(np.argmax(out.y_pred.data.ravel())) == graph.label:
             correct += 1
     return correct / len(dataset.graphs)
@@ -161,10 +162,11 @@ def evaluate(params: ParameterSet, dataset: GraphDataset, config: TrainingConfig
 def mean_precor_error(dataset: GraphDataset, params: ParameterSet, config: TrainingConfig) -> float:
     """Dataset-mean |prediction-correction loss|, forward only."""
     total = 0.0
+    frozen = ParameterSet(prop=params.prop.constants(), pool=params.pool.constants())
     for graph in dataset.graphs:
         losses = model_mod.graph_total_loss(
             graph,
-            params,
+            frozen,
             config.alpha,
             config.k,
             config.s_thre,
@@ -240,13 +242,16 @@ def maximization_phase(
     """Mini-batch Adam on the total loss; pooling group only.
 
     The classification term carries no pooling gradient, so the update
-    signal is gamma times the regularizer; propagation parameters are
-    never stepped here. Returns the optimizer state and the train-set
-    mean |prediction-correction loss| measured after the last epoch.
+    signal is gamma times the regularizer. Propagation parameters enter as
+    constants, so backward walks only the pooling tape and validation
+    accuracy, which reads only them, is measured once. Returns the optimizer
+    state and the train-set mean |prediction-correction loss| after the last epoch.
     """
     if opt_state is None:
         opt_state = init_adam(params.pooling_items())
     pool_items = params.pooling_items()
+    frozen = ParameterSet(prop=params.prop.constants(), pool=params.pool)
+    val_acc = evaluate(params, val, config) if val is not None else None
     for e in range(config.epochs):
         epoch = epoch_offset + e
         lr = lr_schedule(epoch, config.lr0)
@@ -257,7 +262,7 @@ def maximization_phase(
                 try:
                     losses = model_mod.graph_total_loss(
                         graph,
-                        params,
+                        frozen,
                         config.alpha,
                         config.k,
                         config.s_thre,
@@ -283,7 +288,7 @@ def maximization_phase(
                 l_exp=sums["l_exp"] / n,
                 l_precor=sums["l_precor"] / n,
                 l_tot=sums["l_tot"] / n,
-                val_acc=evaluate(params, val, config) if val is not None else None,
+                val_acc=val_acc,
             ),
         )
     return opt_state, mean_precor_error(train, params, config)
