@@ -136,7 +136,7 @@ def write_manifest(out_dir, command, config, dataset_name, dataset_path, seeds):
         "input_hash": hash_inputs(dataset_path, config),
         "out_dir": os.path.abspath(out_dir),
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+    with training.atomic_write(os.path.join(out_dir, "manifest.json")) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest
@@ -164,13 +164,18 @@ def _split_for_seed(dataset, seed: int):
     return split_dataset(dataset, SplitSpec(seed=seed))
 
 
-def _train_one_seed(dataset_arg: str, config_dict: dict, seed: int, out_dir: str):
-    """Worker for one seed; parses the dataset itself so it can run in a
-    separate process."""
+def _fit(dataset_arg: str, config_dict: dict, **overrides):
+    """One em_train run; parses the dataset itself so it can run in a
+    separate process. Returns (config, params, metrics)."""
     dataset, _ = _load_dataset(dataset_arg)
-    config = TrainingConfig.from_dict(config_dict).with_overrides(seed=seed)
-    train, val, test = _split_for_seed(dataset, seed)
+    config = TrainingConfig.from_dict(config_dict).with_overrides(**overrides)
+    train, val, test = _split_for_seed(dataset, config.seed)
     params, metrics = training.em_train(train, val, test, config)
+    return config, params, metrics
+
+
+def _train_one_seed(dataset_arg: str, config_dict: dict, seed: int, out_dir: str):
+    config, params, metrics = _fit(dataset_arg, config_dict, seed=seed)
     training.write_metrics_csv(os.path.join(out_dir, f"metrics_seed{seed}.csv"), metrics)
     training.save_checkpoint(
         os.path.join(out_dir, f"checkpoint_seed{seed}.json"), params, config
@@ -179,10 +184,7 @@ def _train_one_seed(dataset_arg: str, config_dict: dict, seed: int, out_dir: str
 
 
 def _ablate_one(dataset_arg: str, config_dict: dict, gamma: float, seed: int):
-    dataset, _ = _load_dataset(dataset_arg)
-    config = TrainingConfig.from_dict(config_dict).with_overrides(gamma=gamma, seed=seed)
-    train, val, test = _split_for_seed(dataset, seed)
-    _, metrics = training.em_train(train, val, test, config)
+    _, _, metrics = _fit(dataset_arg, config_dict, gamma=gamma, seed=seed)
     return gamma, seed, metrics.test_acc
 
 
@@ -209,10 +211,6 @@ def cmd_train(args) -> int:
     dataset, dataset_path = _load_dataset(args.dataset)
     out_dir = args.out or default_out_dir("train", dataset.name, config, seeds)
     os.makedirs(out_dir, exist_ok=True)
-
-    if args.eval_only:
-        return _eval_checkpoints(dataset, seeds, out_dir)
-
     write_manifest(out_dir, "train", config, dataset.name, dataset_path, seeds)
     results = _run_jobs(
         _train_one_seed,
@@ -222,29 +220,15 @@ def cmd_train(args) -> int:
     per_seed = {seed: acc for seed, acc, _ in results}
     summary = _summary(per_seed)
     summary["wall_clock_s"] = float(sum(wc for _, _, wc in results))
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
+    with training.atomic_write(os.path.join(out_dir, "summary.json")) as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(json.dumps(summary, sort_keys=True))
     return 0
 
 
-def _eval_checkpoints(dataset, seeds, out_dir) -> int:
-    """Recompute test accuracy from saved checkpoints; no training."""
-    per_seed = {}
-    for seed in seeds:
-        path = os.path.join(out_dir, f"checkpoint_seed{seed}.json")
-        if not os.path.isfile(path):
-            raise FileNotFoundError(f"missing checkpoint: {path}")
-        config, arrays, _ = training.load_checkpoint(path)
-        _, _, test = _split_for_seed(dataset, seed)
-        params = training.restore_parameters(dataset, config, arrays)
-        per_seed[seed] = training.evaluate(params, test, config)
-    print(json.dumps(_summary(per_seed), sort_keys=True))
-    return 0
-
-
 def cmd_eval(args) -> int:
+    """Recompute test accuracy from saved checkpoints; no training."""
     out_dir = args.out
     manifest = read_manifest(out_dir) if out_dir else None
     seeds = parse_seeds(args.seeds) if args.seeds else (manifest or {}).get("seeds")
@@ -252,7 +236,17 @@ def cmd_eval(args) -> int:
     if not out_dir or not seeds or not dataset_arg:
         raise ValueError("eval needs --out with a manifest, or explicit --dataset and --seeds")
     dataset, _ = _load_dataset(dataset_arg)
-    return _eval_checkpoints(dataset, seeds, out_dir)
+    per_seed = {}
+    for seed in seeds:
+        path = os.path.join(out_dir, f"checkpoint_seed{seed}.json")
+        if not os.path.isfile(path):
+            raise FileNotFoundError(f"missing checkpoint: {path}")
+        config, arrays = training.load_checkpoint(path)
+        _, _, test = _split_for_seed(dataset, seed)
+        params = training.restore_parameters(dataset, config, arrays)
+        per_seed[seed] = training.evaluate(params, test, config)
+    print(json.dumps(_summary(per_seed), sort_keys=True))
+    return 0
 
 
 def cmd_ablate(args) -> int:
@@ -476,8 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--seeds", default="0", help='"A..B" inclusive or comma list')
     p_train.add_argument("--gamma", type=float, default=None, help="override the regularizer weight")
     p_train.add_argument("--jobs", type=int, default=1, help="concurrent seed jobs")
-    p_train.add_argument("--eval-only", action="store_true", dest="eval_only",
-                         help="recompute accuracies from saved checkpoints")
     p_train.set_defaults(fn=cmd_train)
 
     p_eval = sub.add_parser("eval")

@@ -71,20 +71,13 @@ class GraphLosses:
     l_exp: Value
     l_precor: Value
     l_tot: Value
-    correct: bool
     trace: PoolingTrace
 
 
-def _prediction_correct(y_pred: Value, label: int) -> bool:
-    row = y_pred.data.ravel()
-    return int(np.argmax(row)) == label
-
-
-def graph_expectation_loss(graph: Graph, params: ParameterSet, alpha: float, k: int):
+def graph_expectation_loss(graph: Graph, params: ParameterSet, alpha: float, k: int) -> Value:
     """Classification tape only: propagate, read out, cross-entropy."""
     out = propagation.propagate_graph(graph, params.prop, alpha, k)
-    l_exp = propagation.expectation_loss(out.y_pred, graph.label)
-    return l_exp, _prediction_correct(out.y_pred, graph.label)
+    return propagation.expectation_loss(out.y_pred, graph.label)
 
 
 def graph_total_loss(
@@ -119,6 +112,5 @@ def graph_total_loss(
         l_exp=l_exp,
         l_precor=l_precor,
         l_tot=l_tot,
-        correct=_prediction_correct(out.y_pred, graph.label),
         trace=trace,
     )

@@ -11,7 +11,9 @@ parameters or moments.
 from __future__ import annotations
 
 import json
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -130,9 +132,9 @@ class EpochRecord:
     phase: str
     em_round: int
     l_exp: float
-    l_precor: float | None
-    l_tot: float | None
-    val_acc: float | None
+    l_precor: float | None = None
+    l_tot: float | None = None
+    val_acc: float | None = None
 
 
 @dataclass
@@ -143,43 +145,94 @@ class RunMetrics:
     wall_clock: float | None = None
 
 
+def _dataset_mean(dataset: GraphDataset, per_graph) -> float:
+    """Mean of ``per_graph(graph)`` over the dataset, summed in graph order."""
+    if not dataset.graphs:
+        raise EmptySplit(f"cannot average over empty split {dataset.name!r}")
+    total = 0.0
+    for graph in dataset.graphs:
+        total += per_graph(graph)
+    return total / len(dataset.graphs)
+
+
 def evaluate(params: ParameterSet, dataset: GraphDataset, config: TrainingConfig) -> float:
     """Fraction of graphs whose argmax prediction matches the label.
 
     Argmax ties resolve to the lowest class index.
     """
-    if not dataset.graphs:
-        raise EmptySplit(f"cannot evaluate on empty split {dataset.name!r}")
-    correct = 0
     prop = params.prop.constants()
-    for graph in dataset.graphs:
+
+    def correct(graph):
         out = propagate_graph(graph, prop, config.alpha, config.k)
-        if int(np.argmax(out.y_pred.data.ravel())) == graph.label:
-            correct += 1
-    return correct / len(dataset.graphs)
+        return float(int(np.argmax(out.y_pred.data.ravel())) == graph.label)
+
+    return _dataset_mean(dataset, correct)
+
+
+def _total_loss(graph, params: ParameterSet, config: TrainingConfig) -> model_mod.GraphLosses:
+    return model_mod.graph_total_loss(
+        graph,
+        params,
+        config.alpha,
+        config.k,
+        config.s_thre,
+        config.num_pooling_layers,
+        config.gamma,
+    )
 
 
 def mean_precor_error(dataset: GraphDataset, params: ParameterSet, config: TrainingConfig) -> float:
     """Dataset-mean |prediction-correction loss|, forward only."""
-    total = 0.0
     frozen = ParameterSet(prop=params.prop.constants(), pool=params.pool.constants())
-    for graph in dataset.graphs:
-        losses = model_mod.graph_total_loss(
-            graph,
-            frozen,
-            config.alpha,
-            config.k,
-            config.s_thre,
-            config.num_pooling_layers,
-            config.gamma,
-        )
-        total += abs(losses.l_precor.data[0, 0])
-    return total / len(dataset.graphs)
+    return _dataset_mean(
+        dataset, lambda graph: abs(_total_loss(graph, frozen, config).l_precor.data[0, 0])
+    )
 
 
-def _record(metrics, record):
-    if metrics is not None:
-        metrics.epochs.append(record)
+_PHASE_NAMES = {"E": "expectation", "M": "maximization"}
+
+
+def _train_phase(phase, train, params, group, opt_state, loss_of, val_acc, config,
+                 em_round, epoch_offset, metrics) -> AdamState:
+    """Mini-batch Adam over one parameter group: the loop both EM phases share.
+
+    ``loss_of(graph)`` returns the loss to step and the named losses to
+    report, each averaged over the train set per epoch; ``val_acc()`` gives
+    each epoch record's validation accuracy.
+    """
+    if not train.graphs:
+        raise EmptySplit(f"{_PHASE_NAMES[phase]} phase: empty train split {train.name!r}")
+    if opt_state is None:
+        opt_state = init_adam(group)
+    for e in range(config.epochs):
+        epoch = epoch_offset + e
+        lr = lr_schedule(epoch, config.lr0)
+        sums = {}
+        for batch in iterate_batches(train, config.batch_size, config.seed, epoch):
+            params.zero_grad()
+            for graph in batch:
+                try:
+                    loss, reported = loss_of(graph)
+                    for name, value in reported.items():
+                        sums[name] = sums.get(name, 0.0) + value.data[0, 0]
+                    ad.backward(ad.scale(loss, 1.0 / len(batch)))
+                except NonFinite as exc:
+                    raise NonFinite(
+                        f"{_PHASE_NAMES[phase]} phase, round {em_round}, epoch {epoch}: {exc}"
+                    ) from exc
+            adam_step(group, opt_state, lr, config)
+        if metrics is not None:
+            n = len(train.graphs)
+            metrics.epochs.append(
+                EpochRecord(
+                    epoch=epoch,
+                    phase=phase,
+                    em_round=em_round,
+                    val_acc=val_acc(),
+                    **{name: total / n for name, total in sums.items()},
+                )
+            )
+    return opt_state
 
 
 def expectation_phase(
@@ -193,40 +246,16 @@ def expectation_phase(
     metrics: RunMetrics | None = None,
 ) -> AdamState:
     """Mini-batch Adam on the classification loss; propagation group only."""
-    if opt_state is None:
-        opt_state = init_adam(params.propagation_items())
-    prop_items = params.propagation_items()
-    for e in range(config.epochs):
-        epoch = epoch_offset + e
-        lr = lr_schedule(epoch, config.lr0)
-        loss_sum = 0.0
-        for batch in iterate_batches(train, config.batch_size, config.seed, epoch):
-            params.zero_grad()
-            for graph in batch:
-                try:
-                    l_exp, _ = model_mod.graph_expectation_loss(
-                        graph, params, config.alpha, config.k
-                    )
-                    loss_sum += l_exp.data[0, 0]
-                    ad.backward(ad.scale(l_exp, 1.0 / len(batch)))
-                except NonFinite as exc:
-                    raise NonFinite(
-                        f"expectation phase, round {em_round}, epoch {epoch}: {exc}"
-                    ) from exc
-            adam_step(prop_items, opt_state, lr, config)
-        _record(
-            metrics,
-            EpochRecord(
-                epoch=epoch,
-                phase="E",
-                em_round=em_round,
-                l_exp=loss_sum / len(train.graphs),
-                l_precor=None,
-                l_tot=None,
-                val_acc=evaluate(params, val, config) if val is not None else None,
-            ),
-        )
-    return opt_state
+
+    def loss_of(graph):
+        l_exp = model_mod.graph_expectation_loss(graph, params, config.alpha, config.k)
+        return l_exp, {"l_exp": l_exp}
+
+    return _train_phase(
+        "E", train, params, params.propagation_items(), opt_state, loss_of,
+        lambda: evaluate(params, val, config) if val is not None else None,
+        config, em_round, epoch_offset, metrics,
+    )
 
 
 def maximization_phase(
@@ -247,50 +276,18 @@ def maximization_phase(
     accuracy, which reads only them, is measured once. Returns the optimizer
     state and the train-set mean |prediction-correction loss| after the last epoch.
     """
-    if opt_state is None:
-        opt_state = init_adam(params.pooling_items())
-    pool_items = params.pooling_items()
     frozen = ParameterSet(prop=params.prop.constants(), pool=params.pool)
     val_acc = evaluate(params, val, config) if val is not None else None
-    for e in range(config.epochs):
-        epoch = epoch_offset + e
-        lr = lr_schedule(epoch, config.lr0)
-        sums = {"l_exp": 0.0, "l_precor": 0.0, "l_tot": 0.0}
-        for batch in iterate_batches(train, config.batch_size, config.seed, epoch):
-            params.zero_grad()
-            for graph in batch:
-                try:
-                    losses = model_mod.graph_total_loss(
-                        graph,
-                        frozen,
-                        config.alpha,
-                        config.k,
-                        config.s_thre,
-                        config.num_pooling_layers,
-                        config.gamma,
-                    )
-                    sums["l_exp"] += losses.l_exp.data[0, 0]
-                    sums["l_precor"] += losses.l_precor.data[0, 0]
-                    sums["l_tot"] += losses.l_tot.data[0, 0]
-                    ad.backward(ad.scale(losses.l_tot, 1.0 / len(batch)))
-                except NonFinite as exc:
-                    raise NonFinite(
-                        f"maximization phase, round {em_round}, epoch {epoch}: {exc}"
-                    ) from exc
-            adam_step(pool_items, opt_state, lr, config)
-        n = len(train.graphs)
-        _record(
-            metrics,
-            EpochRecord(
-                epoch=epoch,
-                phase="M",
-                em_round=em_round,
-                l_exp=sums["l_exp"] / n,
-                l_precor=sums["l_precor"] / n,
-                l_tot=sums["l_tot"] / n,
-                val_acc=val_acc,
-            ),
-        )
+
+    def loss_of(graph):
+        losses = _total_loss(graph, frozen, config)
+        reported = {"l_exp": losses.l_exp, "l_precor": losses.l_precor, "l_tot": losses.l_tot}
+        return losses.l_tot, reported
+
+    opt_state = _train_phase(
+        "M", train, params, params.pooling_items(), opt_state, loss_of, lambda: val_acc,
+        config, em_round, epoch_offset, metrics,
+    )
     return opt_state, mean_precor_error(train, params, config)
 
 
@@ -317,8 +314,7 @@ def em_train(
         config.num_pooling_layers,
         config.seed,
     )
-    prop_state = init_adam(params.propagation_items())
-    pool_state = init_adam(params.pooling_items())
+    prop_state = pool_state = None
     metrics = RunMetrics()
 
     prev_err = mean_precor_error(train, params, config)
@@ -348,7 +344,8 @@ def em_train(
             metrics=metrics,
         )
         metrics.em_errors.append(err)
-        val_acc = evaluate(params, val, config)
+        # M leaves theta, all that evaluate reads, unchanged: its record is post-round.
+        val_acc = metrics.epochs[-1].val_acc
         if val_acc > best_val:
             best_val = val_acc
             best_snapshot = params.snapshot()
@@ -362,33 +359,28 @@ def em_train(
     return params, metrics
 
 
-def ablate_gamma(dataset, gammas, config: TrainingConfig, seeds, split_fn, out_path=None):
-    """Full training run per (gamma, seed); one summary row per gamma.
-
-    split_fn maps a seed to (train, val, test) splits of the dataset.
-    Rows are (gamma, mean accuracy, std accuracy, per-seed accuracies).
-    """
-    if not gammas:
-        raise ValueError("gamma list must be non-empty")
-    rows = []
-    for gamma in gammas:
-        accs = []
-        for seed in seeds:
-            cfg = config.with_overrides(gamma=gamma, seed=seed)
-            train, val, test = split_fn(dataset, seed)
-            _, metrics = em_train(train, val, test, cfg)
-            accs.append(metrics.test_acc)
-        rows.append((gamma, float(np.mean(accs)), float(np.std(accs)), accs))
-    if out_path is not None:
-        write_gamma_csv(out_path, rows)
-    return rows
-
-
 # ----------------------------------------------------------------- artifacts
 
 
 def _fmt(x) -> str:
     return "" if x is None else f"{x:.12g}"
+
+
+@contextmanager
+def atomic_write(path):
+    """Text handle on a temp file beside ``path`` that replaces it on success.
+
+    On any exception the temp file is removed and ``path`` keeps its
+    previous bytes, so a reader never sees a truncated artifact.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def write_metrics_csv(path, metrics: RunMetrics) -> None:
@@ -398,7 +390,7 @@ def write_metrics_csv(path, metrics: RunMetrics) -> None:
             f"{r.epoch},{r.phase},{r.em_round},{_fmt(r.l_exp)},"
             f"{_fmt(r.l_precor)},{_fmt(r.l_tot)},{_fmt(r.val_acc)}"
         )
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -406,47 +398,22 @@ def write_gamma_csv(path, rows) -> None:
     lines = ["gamma,mean_acc,std_acc"]
     for gamma, mean, std, _ in rows:
         lines.append(f"{_fmt(gamma)},{_fmt(mean)},{_fmt(std)}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _adam_state_to_dict(state: AdamState) -> dict:
-    return {
-        "step": state.step,
-        "m": {name: arr.tolist() for name, arr in state.m.items()},
-        "v": {name: arr.tolist() for name, arr in state.v.items()},
-    }
-
-
-def _adam_state_from_dict(payload: dict) -> AdamState:
-    return AdamState(
-        m={name: np.asarray(arr, dtype=np.float64) for name, arr in payload["m"].items()},
-        v={name: np.asarray(arr, dtype=np.float64) for name, arr in payload["v"].items()},
-        step=int(payload["step"]),
-    )
-
-
-def save_checkpoint(
-    path,
-    params: ParameterSet,
-    config: TrainingConfig,
-    optimizer_states: dict | None = None,
-) -> None:
+def save_checkpoint(path, params: ParameterSet, config: TrainingConfig) -> None:
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "config": config.to_dict(),
         "parameters": {name: arr.tolist() for name, arr in params.snapshot().items()},
-        "optimizer": {
-            group: _adam_state_to_dict(state)
-            for group, state in (optimizer_states or {}).items()
-        },
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh)
 
 
 def load_checkpoint(path):
-    """Returns (config, parameter arrays by name, optimizer states by group)."""
+    """Returns (config, parameter arrays by name); other keys are ignored."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     version = payload.get("format_version")
@@ -457,11 +424,7 @@ def load_checkpoint(path):
         name: np.asarray(arr, dtype=np.float64)
         for name, arr in payload["parameters"].items()
     }
-    states = {
-        group: _adam_state_from_dict(st)
-        for group, st in payload.get("optimizer", {}).items()
-    }
-    return config, arrays, states
+    return config, arrays
 
 
 def restore_parameters(dataset: GraphDataset, config: TrainingConfig, arrays: dict) -> ParameterSet:

@@ -170,21 +170,8 @@ def test_train_rerun_is_byte_identical(trained, toy_dir, cfg_file):
             assert fh.read() == blob, name
 
 
-def test_eval_only_matches_summary(trained, toy_dir, cfg_file, capsys):
-    rc = main(
-        [
-            "train",
-            "--dataset",
-            toy_dir,
-            "--config",
-            cfg_file,
-            "--seeds",
-            "0,1",
-            "--out",
-            trained,
-            "--eval-only",
-        ]
-    )
+def test_eval_only_matches_summary(trained, toy_dir, capsys):
+    rc = main(["eval", "--dataset", toy_dir, "--seeds", "0,1", "--out", trained])
     assert rc == 0
     line = capsys.readouterr().out.strip().split("\n")[-1]
     recomputed = json.loads(line)
@@ -204,6 +191,37 @@ def test_eval_command_reads_manifest(trained, capsys):
 def test_eval_without_manifest_or_args_exits_1(tmp_path):
     assert main(["eval", "--out", str(tmp_path)]) == 1
     assert main(["eval"]) == 1
+
+
+def _train_artifacts(toy_dir, cfg, out, jobs, capsys):
+    rc = main(
+        ["train", "--dataset", toy_dir, "--config", cfg, "--seeds", "0,1", "--out", out, "--jobs", jobs]
+    )
+    err = capsys.readouterr().err
+    blobs = {}
+    for seed in (0, 1):
+        for name in (f"metrics_seed{seed}.csv", f"checkpoint_seed{seed}.json"):
+            if os.path.isfile(os.path.join(out, name)):
+                with open(os.path.join(out, name), "rb") as fh:
+                    blobs[name] = fh.read()
+    return rc, err, blobs
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_pooled_training_matches_serial(toy_dir, cfg_file, tmp_path, capsys):
+    serial = _train_artifacts(toy_dir, cfg_file, str(tmp_path / "serial"), "1", capsys)
+    pooled = _train_artifacts(toy_dir, cfg_file, str(tmp_path / "pooled"), "2", capsys)
+    assert serial[0] == pooled[0] == 0
+    assert len(serial[2]) == 4
+    assert pooled[2] == serial[2]
+
+    diverging = tmp_path / "diverging.cfg"
+    diverging.write_text(CONFIG_TEXT + "lr0 = 1e300\n")
+    serial = _train_artifacts(toy_dir, str(diverging), str(tmp_path / "serial_nf"), "1", capsys)
+    pooled = _train_artifacts(toy_dir, str(diverging), str(tmp_path / "pooled_nf"), "2", capsys)
+    assert serial[0] == pooled[0] == 2
+    assert "aborted on non-finite loss: expectation phase, round 1, epoch 0: " in serial[1]
+    assert pooled[1] == serial[1]
 
 
 # ---------------------------------------------------------------- ablate

@@ -1,7 +1,12 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
 from lgrpool import autodiff as ad
+from lgrpool import training
+from lgrpool.cli import load_config
 from lgrpool.data import Graph, GraphDataset, build_normalized_adjacency
 from lgrpool.errors import EmptySplit
 from lgrpool.model import init_parameters
@@ -9,7 +14,7 @@ from lgrpool.training import (
     AdamState,
     TrainingConfig,
     adam_step,
-    ablate_gamma,
+    atomic_write,
     em_train,
     evaluate,
     expectation_phase,
@@ -72,6 +77,11 @@ def test_desk_profile():
     cfg = TrainingConfig.desk()
     assert cfg.epochs == 20 and cfg.em_rounds_max == 5
     assert cfg.batch_size == TrainingConfig().batch_size
+
+
+def test_desk_profile_matches_desk_cfg():
+    cfg_path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "desk.cfg")
+    assert TrainingConfig.desk() == load_config(cfg_path, {})
 
 
 def test_config_round_trip_and_unknown_keys():
@@ -152,7 +162,7 @@ def test_expectation_phase_decreases_loss_on_tiny_set():
             for graph in ds.graphs:
                 from lgrpool.model import graph_expectation_loss
 
-                l, _ = graph_expectation_loss(graph, params, cfg.alpha, cfg.k)
+                l = graph_expectation_loss(graph, params, cfg.alpha, cfg.k)
                 total += l.data[0, 0]
             return total / len(ds.graphs)
 
@@ -274,6 +284,42 @@ def test_em_train_is_deterministic():
     assert r1 == r2
 
 
+def test_em_train_keeps_best_round_without_reevaluating(monkeypatch):
+    train, val, test = toy_splits()
+    cfg = TOY_CONFIG.with_overrides(em_rounds_max=3)
+    calls, after_m = [], []
+    real_maximization_phase = training.maximization_phase
+
+    def rising_evaluate(params, dataset, config):
+        calls.append(dataset.name)
+        return len(calls) / 100.0  # each evaluation beats every earlier one
+
+    def recording_maximization_phase(*args, **kwargs):
+        out = real_maximization_phase(*args, **kwargs)
+        after_m.append(args[1].snapshot())
+        return out
+
+    monkeypatch.setattr(training, "evaluate", rising_evaluate)
+    monkeypatch.setattr(training, "maximization_phase", recording_maximization_phase)
+    params, metrics = em_train(train, val, test, cfg)
+    assert len(metrics.em_errors) == 3
+    # Once per E epoch and once per M phase on val, once on test at the end.
+    assert calls.count(val.name) == 3 * (cfg.epochs + 1)
+    assert calls.count(test.name) == 1
+    # The last round read the highest accuracy, so its parameters are kept.
+    assert not np.array_equal(after_m[0]["prop.w1"], after_m[-1]["prop.w1"])
+    for name, arr in params.snapshot().items():
+        assert np.array_equal(arr, after_m[-1][name]), name
+
+
+@pytest.mark.parametrize("phase", [expectation_phase, maximization_phase, mean_precor_error])
+def test_empty_train_set_raises_empty_split(phase):
+    empty = GraphDataset(graphs=[], num_classes=2, feature_dim=2, name="empty")
+    params = init_parameters(2, TOY_CONFIG.hidden, 2, TOY_CONFIG.num_pooling_layers, 0)
+    with pytest.raises(EmptySplit):
+        phase(empty, params, TOY_CONFIG)
+
+
 def test_em_train_rejects_empty_split():
     train, val, test = toy_splits()
     empty = GraphDataset(graphs=[], num_classes=2, feature_dim=2, name="empty")
@@ -316,17 +362,41 @@ def test_checkpoint_round_trip(tmp_path):
     train, val, test = toy_splits()
     params, _ = em_train(train, val, test, TOY_CONFIG)
     path = tmp_path / "ckpt.json"
-    states = {"prop": init_adam(params.propagation_items())}
-    states["prop"].step = 7
-    save_checkpoint(path, params, TOY_CONFIG, states)
+    save_checkpoint(path, params, TOY_CONFIG)
 
-    config, arrays, loaded_states = load_checkpoint(path)
+    config, arrays = load_checkpoint(path)
     assert config == TOY_CONFIG
     restored = restore_parameters(train, config, arrays)
     a, b = params.snapshot(), restored.snapshot()
     for name in a:
         assert np.array_equal(a[name], b[name]), name
-    assert loaded_states["prop"].step == 7
+
+
+def test_checkpoint_with_optimizer_block_still_loads(tmp_path):
+    params = init_parameters(2, 4, 2, 1, 0)
+    path = tmp_path / "old.json"
+    save_checkpoint(path, params, TOY_CONFIG)
+    payload = json.loads(path.read_text())
+    payload["optimizer"] = {"prop": {"step": 7, "m": {}, "v": {}}}
+    path.write_text(json.dumps(payload))
+    config, arrays = load_checkpoint(path)
+    assert config == TOY_CONFIG
+    assert arrays.keys() == params.snapshot().keys()
+
+
+def test_interrupted_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, init_parameters(2, 4, 2, 1, 0), TOY_CONFIG)
+    before = path.read_bytes()
+
+    class Unserializable:
+        pass
+
+    with pytest.raises(TypeError):
+        with atomic_write(path) as fh:
+            json.dump({"parameters": [1.0] * 10000, "bad": Unserializable()}, fh)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["ckpt.json"]
 
 
 def test_checkpoint_version_rejected(tmp_path):
@@ -351,23 +421,3 @@ def test_metrics_csv_format(tmp_path):
     assert first_e[4] == "" and first_e[5] == ""  # no regularizer during E
     first_m = lines[1 + TOY_CONFIG.epochs].split(",")
     assert first_m[1] == "M" and first_m[4] != "" and first_m[5] != ""
-
-
-def test_ablate_gamma_row_shape(tmp_path):
-    ds = make_toy_dataset(12)
-
-    def split_fn(dataset, seed):
-        train = dataset.subset(range(8), "/train")
-        val = dataset.subset(range(8, 10), "/val")
-        test = dataset.subset(range(10, 12), "/test")
-        return train, val, test
-
-    out = tmp_path / "gamma.csv"
-    rows = ablate_gamma(ds, [0.1, 0.2], TOY_CONFIG.with_overrides(em_rounds_max=1), [0, 1], split_fn, out)
-    assert [g for g, _, _, _ in rows] == [0.1, 0.2]
-    assert all(len(accs) == 2 for _, _, _, accs in rows)
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "gamma,mean_acc,std_acc"
-    assert len(lines) == 3
-    with pytest.raises(ValueError):
-        ablate_gamma(ds, [], TOY_CONFIG, [0], split_fn)
