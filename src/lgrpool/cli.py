@@ -89,6 +89,8 @@ def parse_gammas(text: str):
     gammas = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     if not gammas:
         raise ValueError(f"no gamma values in {text!r}")
+    if not np.all(np.isfinite(gammas)):
+        raise ValueError("gamma values must be finite")
     if any(g < 0 for g in gammas):
         raise ValueError("gamma values must be non-negative")
     return gammas
@@ -164,18 +166,17 @@ def _split_for_seed(dataset, seed: int):
     return split_dataset(dataset, SplitSpec(seed=seed))
 
 
-def _fit(dataset_arg: str, config_dict: dict, **overrides):
-    """One em_train run; parses the dataset itself so it can run in a
-    separate process. Returns (config, params, metrics)."""
-    dataset, _ = _load_dataset(dataset_arg)
+def _fit(dataset, config_dict: dict, **overrides):
+    """One em_train run on the parsed dataset; its arguments pickle, so it
+    can run in a separate process. Returns (config, params, metrics)."""
     config = TrainingConfig.from_dict(config_dict).with_overrides(**overrides)
     train, val, test = _split_for_seed(dataset, config.seed)
     params, metrics = training.em_train(train, val, test, config)
     return config, params, metrics
 
 
-def _train_one_seed(dataset_arg: str, config_dict: dict, seed: int, out_dir: str):
-    config, params, metrics = _fit(dataset_arg, config_dict, seed=seed)
+def _train_one_seed(dataset, config_dict: dict, seed: int, out_dir: str):
+    config, params, metrics = _fit(dataset, config_dict, seed=seed)
     training.write_metrics_csv(os.path.join(out_dir, f"metrics_seed{seed}.csv"), metrics)
     training.save_checkpoint(
         os.path.join(out_dir, f"checkpoint_seed{seed}.json"), params, config
@@ -183,8 +184,8 @@ def _train_one_seed(dataset_arg: str, config_dict: dict, seed: int, out_dir: str
     return seed, metrics.test_acc, metrics.wall_clock
 
 
-def _ablate_one(dataset_arg: str, config_dict: dict, gamma: float, seed: int):
-    _, _, metrics = _fit(dataset_arg, config_dict, gamma=gamma, seed=seed)
+def _ablate_one(dataset, config_dict: dict, gamma: float, seed: int):
+    _, _, metrics = _fit(dataset, config_dict, gamma=gamma, seed=seed)
     return gamma, seed, metrics.test_acc
 
 
@@ -214,7 +215,7 @@ def cmd_train(args) -> int:
     write_manifest(out_dir, "train", config, dataset.name, dataset_path, seeds)
     results = _run_jobs(
         _train_one_seed,
-        [(args.dataset, config.to_dict(), seed, out_dir) for seed in seeds],
+        [(dataset, config.to_dict(), seed, out_dir) for seed in seeds],
         args.jobs,
     )
     per_seed = {seed: acc for seed, acc, _ in results}
@@ -260,7 +261,7 @@ def cmd_ablate(args) -> int:
 
     results = _run_jobs(
         _ablate_one,
-        [(args.dataset, config.to_dict(), g, s) for g in gammas for s in seeds],
+        [(dataset, config.to_dict(), g, s) for g in gammas for s in seeds],
         args.jobs,
     )
     rows = []

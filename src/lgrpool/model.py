@@ -44,6 +44,8 @@ class ParameterSet:
 
     def load_snapshot(self, arrays: dict) -> None:
         for name, value in self.items():
+            if name not in arrays:
+                raise ValueError(f"snapshot has no array {name}")
             src = arrays[name]
             if src.shape != value.data.shape:
                 raise ValueError(

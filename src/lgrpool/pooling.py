@@ -18,9 +18,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value
-from .data import build_normalized_adjacency
+# Not called here: perfbench's layer trace wraps this name and fails when it is missing.
+from .data import build_normalized_adjacency  # noqa: F401
 from .errors import ShapeMismatch
-from .sparse import SparseMatrix
 
 GATE_FLOOR = 1e-6
 SPREAD_CLAMP = 10.0
@@ -95,7 +95,6 @@ class LayerTrace:
     norm: NormalizedScores
     merge: MergeMap
     coarse_edges: list
-    coarse_adj: SparseMatrix
     coarse_z: Value
 
 
@@ -158,62 +157,36 @@ def normalize_scores(
     """
     if not (0.0 < s_thre < 1.0):
         raise ValueError(f"s_thre must lie in (0, 1), got {s_thre}")
-    raw = scores.data.ravel()
-    surviving = raw >= s_thre
-    counts = np.zeros(num_nodes, dtype=np.int64)
-    for e, (i, j) in enumerate(edges):
-        if surviving[e]:
-            counts[i] += 1
-            counts[j] += 1
-
-    coeff_i = np.zeros((len(edges), 1))
-    coeff_j = np.zeros((len(edges), 1))
-    for e, (i, j) in enumerate(edges):
-        if surviving[e]:
-            coeff_i[e, 0] = 1.0 / counts[i]
-            coeff_j[e, 0] = 1.0 / counts[j]
+    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    surviving = scores.data.ravel() >= s_thre
+    counts = np.bincount(ends[surviving].ravel(), minlength=num_nodes)
+    coeff = np.divide(1.0, counts[ends], out=np.zeros(ends.shape), where=surviving[:, None])
 
     return NormalizedScores(
-        at_i=ad.hadamard(scores, ad.constant(coeff_i)),
-        at_j=ad.hadamard(scores, ad.constant(coeff_j)),
+        at_i=ad.hadamard(scores, ad.constant(coeff[:, :1])),
+        at_j=ad.hadamard(scores, ad.constant(coeff[:, 1:])),
         surviving=surviving,
         counts=counts,
     )
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
+def _components(num_nodes: int, ends: np.ndarray) -> MergeMap:
+    """Connected components, numbered in order of their smallest member.
 
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def _components_of_survivors(num_nodes: int, edges, surviving) -> MergeMap:
-    uf = _UnionFind(num_nodes)
-    for e, (i, j) in enumerate(edges):
-        if surviving[e]:
-            uf.union(i, j)
-    assignment = np.empty(num_nodes, dtype=np.int64)
-    next_id = 0
-    root_to_id = {}
-    for node in range(num_nodes):
-        root = uf.find(node)
-        if root not in root_to_id:
-            root_to_id[root] = next_id
-            next_id += 1
-        assignment[node] = root_to_id[root]
-    return MergeMap(assignment=assignment, num_supernodes=next_id)
+    Min-label fixpoint: every node takes the smallest label among itself
+    and its neighbours, then jumps to its label's label, until nothing
+    changes; each component then carries its smallest member.
+    """
+    root = np.arange(num_nodes, dtype=np.int64)
+    while True:
+        label = root.copy()
+        np.minimum.at(label, ends.ravel(), root[ends[:, ::-1]].ravel())
+        label = label[label]
+        if np.array_equal(label, root):
+            break
+        root = label
+    roots, assignment = np.unique(root, return_inverse=True)
+    return MergeMap(assignment=assignment, num_supernodes=len(roots))
 
 
 def contract_graph(
@@ -230,13 +203,12 @@ def contract_graph(
     Coarse edges are the deduplicated images of fine edges between
     distinct supernodes.
     """
-    merge = _components_of_survivors(num_nodes, edges, norm.surviving)
+    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    merge = _components(num_nodes, ends[norm.surviving])
 
-    idx_i = [e[0] for e in edges]
-    idx_j = [e[1] for e in edges]
     gate = ad.add(
-        ad.scatter_add_rows(norm.at_i, idx_i, num_nodes),
-        ad.scatter_add_rows(norm.at_j, idx_j, num_nodes),
+        ad.scatter_add_rows(norm.at_i, ends[:, 0], num_nodes),
+        ad.scatter_add_rows(norm.at_j, ends[:, 1], num_nodes),
     )
     floor = np.where(norm.counts == 0, GATE_FLOOR, 0.0).reshape(-1, 1)
     gate = ad.add(gate, ad.constant(floor))
@@ -244,17 +216,10 @@ def contract_graph(
         ad.scale_rows(z, gate), merge.assignment, merge.num_supernodes
     )
 
-    coarse_edges = sorted(
-        {
-            (
-                min(merge.assignment[i], merge.assignment[j]),
-                max(merge.assignment[i], merge.assignment[j]),
-            )
-            for i, j in edges
-            if merge.assignment[i] != merge.assignment[j]
-        }
-    )
-    coarse_edges = [(int(i), int(j)) for i, j in coarse_edges]
+    images = merge.assignment[ends]
+    images = np.sort(images[images[:, 0] != images[:, 1]], axis=1)
+    lo, hi = np.unique(images, axis=0).T.tolist()
+    coarse_edges = list(zip(lo, hi))
     return coarse_z, coarse_edges, merge
 
 
@@ -268,27 +233,26 @@ def hierarchical_pool(
     trace of depth 0 returns z_input untouched.
     """
     n_cur = graph.num_nodes
-    edges_cur = list(graph.edges)
+    edges_cur = graph.edges
     z_cur = z_input
     layers = []
     composed = np.arange(graph.num_nodes, dtype=np.int64)
 
     for level in range(num_layers):
-        if n_cur <= 2 or not edges_cur:
+        ends = np.asarray(edges_cur, dtype=np.int64).reshape(-1, 2)
+        if n_cur <= 2 or not len(ends):
             break
-        scores = score_edges(z_cur, edges_cur, params.layers[level])
-        norm = normalize_scores(scores, edges_cur, n_cur, s_thre)
+        scores = score_edges(z_cur, ends, params.layers[level])
+        norm = normalize_scores(scores, ends, n_cur, s_thre)
         if not norm.surviving.any():
             break
-        coarse_z, coarse_edges, merge = contract_graph(n_cur, edges_cur, norm, z_cur)
-        coarse_adj = build_normalized_adjacency(merge.num_supernodes, coarse_edges)
+        coarse_z, coarse_edges, merge = contract_graph(n_cur, ends, norm, z_cur)
         layers.append(
             LayerTrace(
                 scores=scores,
                 norm=norm,
                 merge=merge,
                 coarse_edges=coarse_edges,
-                coarse_adj=coarse_adj,
                 coarse_z=coarse_z,
             )
         )
@@ -320,12 +284,11 @@ def prediction_correction_loss(
         raise ShapeMismatch("prediction_correction_loss", z_cor.data.shape, z_pre.data.shape)
     aligned = ad.gather_rows(z_cor, composed_map)
     align_term = ad.sum_all(ad.sum_sq_rows(ad.sub(aligned, z_pre)))
-    if not coarse_edges:
+    pairs = np.asarray(coarse_edges, dtype=np.int64).reshape(-1, 2)
+    if not len(pairs):
         return align_term
-    us = [e[0] for e in coarse_edges]
-    vs = [e[1] for e in coarse_edges]
-    d = ad.sum_sq_rows(ad.sub(ad.gather_rows(z_cor, us), ad.gather_rows(z_cor, vs)))
-    cap = ad.constant(np.full((len(coarse_edges), 1), spread_clamp))
+    d = ad.sum_sq_rows(ad.sub(ad.gather_rows(z_cor, pairs[:, 0]), ad.gather_rows(z_cor, pairs[:, 1])))
+    cap = ad.constant(np.full((len(pairs), 1), spread_clamp))
     clamped = ad.sub(cap, ad.relu(ad.sub(cap, d)))
     return ad.sub(align_term, ad.sum_all(clamped))
 

@@ -47,6 +47,12 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # An infinite em_tolerance means "stop after the first round".
+            allowed_inf = f.name == "em_tolerance" and value == np.inf
+            if f.type == "float" and not (np.isfinite(value) or allowed_inf):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         for name in ("batch_size", "num_pooling_layers", "k", "epochs", "hidden", "em_rounds_max"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
@@ -416,9 +422,14 @@ def load_checkpoint(path):
     """Returns (config, parameter arrays by name); other keys are ignored."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"checkpoint is not a JSON object: {path}")
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")
+    for key in ("config", "parameters"):
+        if not isinstance(payload.get(key), dict):
+            raise ValueError(f"checkpoint has no {key!r} object: {path}")
     config = TrainingConfig.from_dict(payload["config"])
     arrays = {
         name: np.asarray(arr, dtype=np.float64)

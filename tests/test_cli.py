@@ -1,9 +1,11 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+from lgrpool import cli
 from lgrpool.cli import (
     load_config,
     main,
@@ -11,7 +13,7 @@ from lgrpool.cli import (
     parse_gammas,
     parse_seeds,
 )
-from lgrpool.data import emit_tu_dataset
+from lgrpool.data import emit_tu_dataset, parse_tu_dataset
 
 from toydata import make_toy_dataset
 
@@ -120,10 +122,19 @@ def test_unknown_config_key_exits_1(toy_dir, tmp_path, capsys):
 
 
 def test_malformed_gamma_token_exits_1(toy_dir, cfg_file):
-    rc = main(
-        ["ablate", "--dataset", toy_dir, "--config", cfg_file, "--seeds", "0", "--gamma", "0.1,zz"]
-    )
+    for grid in ("0.1,zz", "nan", "0.1,inf", "-inf"):
+        rc = main(
+            ["ablate", "--dataset", toy_dir, "--config", cfg_file, "--seeds", "0", "--gamma", grid]
+        )
+        assert rc == 1, grid
+
+
+def test_non_finite_train_gamma_exits_1_without_output(toy_dir, cfg_file, tmp_path, capsys):
+    out = tmp_path / "nan-gamma"
+    rc = main(["train", "--dataset", toy_dir, "--config", cfg_file, "--gamma", "nan", "--out", str(out)])
     assert rc == 1
+    assert "gamma must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -------------------------------------------------------------- training
@@ -193,6 +204,58 @@ def test_eval_without_manifest_or_args_exits_1(tmp_path):
     assert main(["eval"]) == 1
 
 
+def _without(key):
+    def damage(payload):
+        del payload[key]
+        return payload
+
+    return damage
+
+
+def _without_array(name):
+    def damage(payload):
+        del payload["parameters"][name]
+        return payload
+
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage, named",
+    [
+        (_without_array("pool.1.a"), "pool.1.a"),
+        (_without("parameters"), "'parameters'"),
+        (_without("config"), "'config'"),
+        (lambda payload: [payload], "not a JSON object"),
+    ],
+)
+def test_eval_malformed_checkpoint_exits_1(trained, tmp_path, capsys, damage, named):
+    out = tmp_path / "damaged"
+    shutil.copytree(trained, out)
+    path = out / "checkpoint_seed0.json"
+    path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+    assert main(["eval", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+def test_train_and_ablate_parse_the_dataset_once(toy_dir, tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counting_parse(*args):
+        calls.append(args)
+        return parse_tu_dataset(*args)
+
+    monkeypatch.setattr(cli, "parse_tu_dataset", counting_parse)
+    quick = tmp_path / "quick.cfg"
+    quick.write_text(CONFIG_TEXT + "epochs = 1\nem_rounds_max = 1\n")
+    common = ["--dataset", toy_dir, "--config", str(quick)]
+    assert main(["train", *common, "--seeds", "0,1,2", "--out", str(tmp_path / "t")]) == 0
+    assert len(calls) == 1
+    assert main(["ablate", *common, "--seeds", "0,1", "--gamma", "0.1,0.2", "--out", str(tmp_path / "a")]) == 0
+    assert len(calls) == 2
+
+
 def _train_artifacts(toy_dir, cfg, out, jobs, capsys):
     rc = main(
         ["train", "--dataset", toy_dir, "--config", cfg, "--seeds", "0,1", "--out", out, "--jobs", jobs]
@@ -250,6 +313,35 @@ def test_ablate_single_gamma(toy_dir, cfg_file, tmp_path, capsys):
     lines = open(os.path.join(out, "gamma_ablation.csv")).read().strip().split("\n")
     assert lines[0] == "gamma,mean_acc,std_acc"
     assert len(lines) == 2 and lines[1].startswith("0.15,")
+
+
+def _ablate_artifact(toy_dir, cfg, out, jobs, capsys):
+    rc = main(
+        ["ablate", "--dataset", toy_dir, "--config", cfg, "--seeds", "0,1", "--gamma", "0.1,0.3",
+         "--out", out, "--jobs", jobs]
+    )
+    err = capsys.readouterr().err
+    path = os.path.join(out, "gamma_ablation.csv")
+    blob = open(path, "rb").read() if os.path.isfile(path) else None
+    return rc, err, blob
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_pooled_ablation_matches_serial(toy_dir, cfg_file, tmp_path, capsys):
+    serial = _ablate_artifact(toy_dir, cfg_file, str(tmp_path / "serial"), "1", capsys)
+    pooled = _ablate_artifact(toy_dir, cfg_file, str(tmp_path / "pooled"), "2", capsys)
+    assert serial[0] == pooled[0] == 0
+    assert serial[2].count(b"\n") == 3
+    assert pooled[2] == serial[2]
+
+    diverging = tmp_path / "diverging.cfg"
+    diverging.write_text(CONFIG_TEXT + "lr0 = 1e300\n")
+    serial = _ablate_artifact(toy_dir, str(diverging), str(tmp_path / "serial_nf"), "1", capsys)
+    pooled = _ablate_artifact(toy_dir, str(diverging), str(tmp_path / "pooled_nf"), "2", capsys)
+    assert serial[0] == pooled[0] == 2
+    assert "aborted on non-finite loss: expectation phase, round 1, epoch 0: " in serial[1]
+    assert pooled[1] == serial[1]
+    assert serial[2] is None and pooled[2] is None
 
 
 # ------------------------------------------------------------- gradcheck

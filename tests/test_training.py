@@ -67,6 +67,16 @@ def test_config_validation():
         dict(em_tolerance=0.0),
         dict(beta1=1.0),
         dict(seed=-1),
+        dict(gamma=float("nan")),
+        dict(gamma=float("inf")),
+        dict(lr0=float("nan")),
+        dict(lr0=float("inf")),
+        dict(alpha=float("nan")),
+        dict(s_thre=float("nan")),
+        dict(beta2=float("nan")),
+        dict(eps_adam=float("inf")),
+        dict(em_tolerance=float("nan")),
+        dict(em_tolerance=float("-inf")),
     ):
         with pytest.raises(ValueError):
             TrainingConfig(**bad)
