@@ -169,20 +169,6 @@ def scale_rows(a: Value, s: Value) -> Value:
     )
 
 
-def concat_cols(a: Value, b: Value) -> Value:
-    if a.data.shape[0] != b.data.shape[0]:
-        raise ShapeMismatch("concat_cols", a.data.shape, b.data.shape)
-    na = a.data.shape[1]
-    return _make(
-        "concat_cols",
-        np.concatenate([a.data, b.data], axis=1),
-        [
-            (a, lambda g, na=na: g[:, :na]),
-            (b, lambda g, na=na: g[:, na:]),
-        ],
-    )
-
-
 def sigmoid(a: Value) -> Value:
     x = a.data
     out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))

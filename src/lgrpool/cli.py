@@ -343,7 +343,6 @@ def primitive_targets(inject_fault: bool = False):
     t("scale", lambda ps: ad.sum_all(ad.scale(ps["a"], -1.7)), {"a": p((3, 4))})
     t("hadamard", lambda ps: ad.sum_all(ad.hadamard(ps["a"], ps["b"])), {"a": p((3, 4)), "b": p((3, 4))})
     t("scale_rows", lambda ps: ad.sum_all(ad.scale_rows(ps["a"], ps["s"])), {"a": p((3, 4)), "s": p((3, 1))})
-    t("concat_cols", lambda ps: ad.sum_all(ad.sum_sq_rows(ad.concat_cols(ps["a"], ps["b"]))), {"a": p((3, 2)), "b": p((3, 4))})
     sig = _sigmoid_wrong_derivative if inject_fault else ad.sigmoid
     t("sigmoid", lambda ps: ad.sum_all(ad.sum_sq_rows(sig(ps["a"]))), {"a": p((3, 4))})
     t("relu", lambda ps: ad.sum_all(ad.sum_sq_rows(ad.relu(ps["a"]))), {"a": p((3, 4), away_from_zero=True)})

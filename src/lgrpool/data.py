@@ -4,7 +4,8 @@ Expected directory layout for a dataset called NAME:
 
     NAME_A.txt                comma-separated 1-indexed edge endpoints,
                               one directed edge per line
-    NAME_graph_indicator.txt  graph id (1-indexed) per node, one per line
+    NAME_graph_indicator.txt  graph id (1-indexed) per node, one per line,
+                              each graph's nodes together, in ascending order
     NAME_graph_labels.txt     one label per graph
     NAME_node_labels.txt      optional, integer node label per node
     NAME_node_attributes.txt  optional, comma-separated floats per node
@@ -31,19 +32,12 @@ def build_normalized_adjacency(num_nodes: int, edges) -> SparseMatrix:
     every row sum is positive and the spectral radius is at most 1.
     Isolated nodes get a single diagonal entry of 1.
     """
-    deg = np.ones(num_nodes, dtype=np.float64)
-    for i, j in edges:
-        deg[i] += 1.0
-        deg[j] += 1.0
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    rows = list(range(num_nodes))
-    cols = list(range(num_nodes))
-    vals = [inv_sqrt[i] * inv_sqrt[i] for i in range(num_nodes)]
-    for i, j in edges:
-        w = inv_sqrt[i] * inv_sqrt[j]
-        rows.extend((i, j))
-        cols.extend((j, i))
-        vals.extend((w, w))
+    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    inv_sqrt = 1.0 / np.sqrt(1 + np.bincount(ends.ravel(), minlength=num_nodes))
+    nodes = np.arange(num_nodes)
+    rows = np.concatenate([nodes, ends.ravel()])
+    cols = np.concatenate([nodes, ends[:, ::-1].ravel()])
+    vals = inv_sqrt[rows] * inv_sqrt[cols]
     return SparseMatrix.from_coo(rows, cols, vals, (num_nodes, num_nodes))
 
 
@@ -106,144 +100,139 @@ class SplitSpec:
     fractions: tuple = (0.8, 0.1, 0.1)
 
 
-def _read_lines(path: str):
+def _reject(bad, describe, path: str | None = None) -> None:
+    """Raise ParseError(describe(i)) for the first index i flagged in bad,
+    naming line i + 1 of path when bad runs over that file's rows."""
+    flagged = np.flatnonzero(bad)
+    if flagged.size:
+        where = f"{path} line {flagged[0] + 1}: " if path else ""
+        raise ParseError(where + describe(flagged[0]))
+
+
+def _read_table(path: str, dtype, columns: int | None = None, optional: bool = False):
+    """Read a comma-separated numeric file into a 2-D array.
+
+    Rows are the non-blank lines, and "line N" in errors counts them.
+    Every row must hold `columns` values, or as many as the first row
+    when that is None. Returns None for a missing optional file.
+    """
+    if optional and not os.path.isfile(path):
+        return None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return [ln.strip() for ln in fh if ln.strip()]
+        with open(path, "rb") as fh:
+            rows = list(filter(bytes.strip, fh.read().splitlines()))
     except OSError as exc:
         raise ParseError(f"missing mandatory file: {path}") from exc
+    if not rows:  # loadtxt warns on empty input
+        return np.empty((0, columns or 1), dtype=dtype)
 
+    def load(part):
+        try:
+            values = np.loadtxt(part, dtype=dtype, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+        return values if columns in (None, values.shape[1]) else None
 
-def _read_optional(path: str):
-    if not os.path.isfile(path):
-        return None
-    return _read_lines(path)
+    values = load(rows)
+    if values is not None:
+        return values
+    good, bad = 0, len(rows)  # rows[:good] load and rows[:bad] do not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        good, bad = (good, mid) if load(rows[:mid]) is None else (mid, bad)
+    expected = columns or rows[0].count(b",") + 1
+    text = rows[good].decode(errors="replace").strip()
+    raise ParseError(
+        f"{path} line {good + 1}: expected {expected} comma-separated "
+        f"{np.dtype(dtype).name} values, got {text!r}"
+    )
 
 
 def parse_tu_dataset(dir_path: str, name: str) -> GraphDataset:
     """Parse a TU-format directory into a 0-indexed, deduplicated dataset."""
     prefix = os.path.join(dir_path, name + "_")
-    indicator = _read_lines(prefix + "graph_indicator.txt")
-    edge_lines = _read_lines(prefix + "A.txt")
-    label_lines = _read_lines(prefix + "graph_labels.txt")
-    node_label_lines = _read_optional(prefix + "node_labels.txt")
-    node_attr_lines = _read_optional(prefix + "node_attributes.txt")
+    gid = _read_table(prefix + "graph_indicator.txt", np.int64, 1).ravel()
+    ends = _read_table(prefix + "A.txt", np.int64, 2) - 1
+    raw_labels = _read_table(prefix + "graph_labels.txt", np.int64, 1).ravel()
+    node_labels = _read_table(prefix + "node_labels.txt", np.int64, 1, optional=True)
+    attrs = _read_table(prefix + "node_attributes.txt", np.float64, optional=True)
 
-    num_nodes_total = len(indicator)
-    num_graphs = len(label_lines)
+    num_nodes_total = len(gid)
+    num_graphs = len(raw_labels)
     if num_graphs == 0:
         raise ParseError(f"{prefix}graph_labels.txt: no graphs")
+    # Each graph is read as one contiguous node range, so ids must ascend.
+    id_out = (gid < 1) | (gid > num_graphs)
+    _reject(
+        id_out | np.r_[False, gid[1:] < gid[:-1]],
+        lambda r: f"graph id {gid[r]} "
+        + ("out of range" if id_out[r] else f"after {gid[r - 1]}; ids must ascend"),
+        prefix + "graph_indicator.txt",
+    )
+    nodes_per_graph = np.bincount(gid - 1, minlength=num_graphs)
+    _reject(nodes_per_graph == 0, lambda g: f"graph {g + 1} has zero nodes")
+    node_start = np.r_[0, np.cumsum(nodes_per_graph)]
 
-    graph_of_node = np.empty(num_nodes_total, dtype=np.int64)
-    for ln_no, raw in enumerate(indicator):
-        gid = int(raw)
-        if gid < 1 or gid > num_graphs:
-            raise ParseError(
-                f"{prefix}graph_indicator.txt line {ln_no + 1}: "
-                f"graph id {gid} out of range"
-            )
-        graph_of_node[ln_no] = gid - 1
+    end_out = ((ends < 0) | (ends >= num_nodes_total)).any(axis=1)
+    ends_gid = gid[np.where(end_out[:, None], 0, ends)]
+    _reject(
+        end_out | (ends_gid[:, 0] != ends_gid[:, 1]),
+        lambda r: "node id out of range"
+        if end_out[r]
+        else "edge crosses graphs {} and {}".format(*ends_gid[r]),
+        prefix + "A.txt",
+    )
+    # Sorted (lo, hi) keys group the edges by graph, because each graph
+    # owns a contiguous node range.
+    ends = np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1)
+    lo, hi = np.divmod(np.unique(ends[:, 0] * num_nodes_total + ends[:, 1]), num_nodes_total)
+    edge_start = np.searchsorted(lo, node_start).tolist()
+    local = np.column_stack((lo, hi)) - node_start[gid[lo] - 1, None]
+    edges = list(map(tuple, local.tolist()))
 
-    nodes_per_graph = np.bincount(graph_of_node, minlength=num_graphs)
-    for gid in range(num_graphs):
-        if nodes_per_graph[gid] == 0:
-            raise ParseError(f"graph {gid + 1} has zero nodes")
-    first_node = np.zeros(num_graphs, dtype=np.int64)
-    first_node[1:] = np.cumsum(nodes_per_graph)[:-1]
-
-    edges_per_graph = [set() for _ in range(num_graphs)]
-    for ln_no, raw in enumerate(edge_lines):
-        parts = raw.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"{prefix}A.txt line {ln_no + 1}: expected 'i, j'")
-        u, v = int(parts[0]), int(parts[1])
-        if u < 1 or u > num_nodes_total or v < 1 or v > num_nodes_total:
-            raise ParseError(
-                f"{prefix}A.txt line {ln_no + 1}: node id out of range"
-            )
-        u -= 1
-        v -= 1
-        if u == v:
-            continue
-        gu, gv = graph_of_node[u], graph_of_node[v]
-        if gu != gv:
-            raise ParseError(
-                f"{prefix}A.txt line {ln_no + 1}: edge crosses graphs "
-                f"{gu + 1} and {gv + 1}"
-            )
-        lo = int(min(u, v) - first_node[gu])
-        hi = int(max(u, v) - first_node[gu])
-        edges_per_graph[gu].add((lo, hi))
-
-    raw_labels = [int(ln) for ln in label_lines]
-    label_map = {lab: idx for idx, lab in enumerate(sorted(set(raw_labels)))}
-    labels = [label_map[lab] for lab in raw_labels]
-
-    node_labels_all = None
-    label_vocab = None
-    if node_label_lines is not None:
-        if len(node_label_lines) != num_nodes_total:
-            raise ParseError(
-                f"{prefix}node_labels.txt: {len(node_label_lines)} lines for "
-                f"{num_nodes_total} nodes"
-            )
-        node_labels_all = [int(ln) for ln in node_label_lines]
-        label_vocab = {
-            lab: idx for idx, lab in enumerate(sorted(set(node_labels_all)))
-        }
-
-    node_attrs_all = None
-    if node_attr_lines is not None:
-        if len(node_attr_lines) != num_nodes_total:
-            raise ParseError(
-                f"{prefix}node_attributes.txt: {len(node_attr_lines)} lines "
-                f"for {num_nodes_total} nodes"
-            )
-        node_attrs_all = np.array(
-            [[float(tok) for tok in ln.split(",")] for ln in node_attr_lines],
-            dtype=np.float64,
+    for suffix, table in (("node_labels.txt", node_labels), ("node_attributes.txt", attrs)):
+        if table is not None and len(table) != num_nodes_total:
+            raise ParseError(f"{prefix}{suffix}: {len(table)} lines for {num_nodes_total} nodes")
+    if attrs is not None:
+        _reject(
+            ~np.isfinite(attrs).all(axis=1),
+            lambda r: f"graph {gid[r]}: non-finite feature entries",
+            prefix + "node_attributes.txt",
         )
+    if node_labels is None:
+        features = np.ones((num_nodes_total, 1)) if attrs is None else attrs.copy()
+    else:
+        # One-hot columns, then the attributes, written into one array
+        # so that no block is built twice.
+        node_labels = node_labels.ravel()
+        vocab, index = np.unique(node_labels, return_inverse=True)
+        attr_dim = 0 if attrs is None else attrs.shape[1]
+        features = np.zeros((num_nodes_total, len(vocab) + attr_dim))
+        features[np.arange(num_nodes_total), index] = 1.0
+        if attrs is not None:
+            features[:, len(vocab):] = attrs
+        node_labels = node_labels.tolist()
 
-    graphs = []
-    for gid in range(num_graphs):
-        n = int(nodes_per_graph[gid])
-        base = int(first_node[gid])
-        edges = sorted(edges_per_graph[gid])
-
-        blocks = []
-        g_node_labels = None
-        g_node_attrs = None
-        if node_labels_all is not None:
-            g_node_labels = node_labels_all[base : base + n]
-            onehot = np.zeros((n, len(label_vocab)), dtype=np.float64)
-            for row, lab in enumerate(g_node_labels):
-                onehot[row, label_vocab[lab]] = 1.0
-            blocks.append(onehot)
-        if node_attrs_all is not None:
-            g_node_attrs = node_attrs_all[base : base + n]
-            blocks.append(g_node_attrs)
-        if not blocks:
-            blocks.append(np.ones((n, 1), dtype=np.float64))
-        features = np.concatenate(blocks, axis=1)
-        if not np.all(np.isfinite(features)):
-            raise ParseError(f"graph {gid + 1}: non-finite feature entries")
-
-        graphs.append(
-            Graph(
-                num_nodes=n,
-                edges=edges,
-                features=features,
-                label=labels[gid],
-                adj_norm=build_normalized_adjacency(n, edges),
-                node_labels=g_node_labels,
-                node_attributes=g_node_attrs,
-            )
+    classes, labels = np.unique(raw_labels, return_inverse=True)
+    node_start = node_start.tolist()
+    bounds = zip(labels.tolist(), node_start, node_start[1:], edge_start, edge_start[1:])
+    graphs = [
+        Graph(
+            num_nodes=b - a,
+            edges=edges[e:f],
+            features=features[a:b],
+            label=label,
+            adj_norm=build_normalized_adjacency(b - a, local[e:f]),
+            node_labels=None if node_labels is None else node_labels[a:b],
+            node_attributes=None if attrs is None else attrs[a:b],
         )
+        for label, a, b, e, f in bounds
+    ]
 
     return GraphDataset(
         graphs=graphs,
-        num_classes=len(label_map),
-        feature_dim=graphs[0].features.shape[1],
+        num_classes=len(classes),
+        feature_dim=features.shape[1],
         name=name,
     )
 

@@ -49,6 +49,9 @@ class TrainingConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            number = int if f.type == "int" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, number):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
             # An infinite em_tolerance means "stop after the first round".
             allowed_inf = f.name == "em_tolerance" and value == np.inf
             if f.type == "float" and not (np.isfinite(value) or allowed_inf):

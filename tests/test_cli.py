@@ -220,6 +220,14 @@ def _without_array(name):
     return damage
 
 
+def _with_config(key, value):
+    def damage(payload):
+        payload["config"][key] = value
+        return payload
+
+    return damage
+
+
 @pytest.mark.parametrize(
     "damage, named",
     [
@@ -227,6 +235,9 @@ def _without_array(name):
         (_without("parameters"), "'parameters'"),
         (_without("config"), "'config'"),
         (lambda payload: [payload], "not a JSON object"),
+        (_with_config("gamma", "x"), "gamma must be float"),
+        (_with_config("hidden", 8.0), "hidden must be int"),
+        (_with_config("k", True), "k must be int"),
     ],
 )
 def test_eval_malformed_checkpoint_exits_1(trained, tmp_path, capsys, damage, named):
@@ -392,6 +403,16 @@ def test_inspect_trace(toy_dir, cfg_file, capsys):
 def test_inspect_trace_requires_valid_graph_index(toy_dir, capsys):
     assert main(["inspect", "--dataset", toy_dir, "--trace"]) == 1
     assert main(["inspect", "--dataset", toy_dir, "--graph", "99", "--trace"]) == 1
+
+
+def test_inspect_rejects_graph_ids_out_of_order(tmp_path, capsys):
+    d = tmp_path / "SHUF"
+    d.mkdir()
+    (d / "SHUF_A.txt").write_text("1, 3\n3, 1\n")
+    (d / "SHUF_graph_indicator.txt").write_text("1\n2\n1\n")
+    (d / "SHUF_graph_labels.txt").write_text("0\n1\n")
+    assert main(["inspect", "--dataset", str(d)]) == 1
+    assert "SHUF_graph_indicator.txt line 3" in capsys.readouterr().err
 
 
 def test_dataset_root_env_var(toy_dir, cfg_file, monkeypatch, capsys):

@@ -155,6 +155,24 @@ def test_forward_only_passes_build_no_tape(monkeypatch):
 # ------------------------------------------------------------ edge scores
 
 
+def concat_cols(a, b):
+    """[a | b] as a tape node built by hand; only this oracle needs it."""
+    na = a.data.shape[1]
+    out = ad.Value(np.concatenate([a.data, b.data], axis=1))
+    out._parents = [
+        (p, fn) for p, fn in ((a, lambda g: g[:, :na]), (b, lambda g: g[:, na:])) if p.requires_grad
+    ]
+    out.requires_grad = bool(out._parents)
+    return out
+
+
+def test_concat_cols_gradient():
+    rng = np.random.default_rng(0)
+    params = {"a": ad.parameter(rng.normal(size=(3, 2))), "b": ad.parameter(rng.normal(size=(3, 4)))}
+    builder = lambda ps: ad.sum_all(ad.sum_sq_rows(concat_cols(ps["a"], ps["b"])))
+    assert ad.grad_check(builder, params) <= 1e-5
+
+
 def concat_score_edges(z, edges, layer):
     """The edge score as E x 2h concatenations times the scoring vector."""
     idx_i = [e[0] for e in edges]
@@ -162,8 +180,8 @@ def concat_score_edges(z, edges, layer):
     p = ad.matmul(z, layer.w)
     pi = ad.gather_rows(p, idx_i)
     pj = ad.gather_rows(p, idx_j)
-    s_ij = ad.sigmoid(ad.matmul(ad.concat_cols(pi, pj), layer.a))
-    s_ji = ad.sigmoid(ad.matmul(ad.concat_cols(pj, pi), layer.a))
+    s_ij = ad.sigmoid(ad.matmul(concat_cols(pi, pj), layer.a))
+    s_ji = ad.sigmoid(ad.matmul(concat_cols(pj, pi), layer.a))
     return ad.scale(ad.add(s_ij, s_ji), 0.5)
 
 

@@ -77,6 +77,9 @@ def test_config_validation():
         dict(eps_adam=float("inf")),
         dict(em_tolerance=float("nan")),
         dict(em_tolerance=float("-inf")),
+        dict(gamma="x"),
+        dict(hidden=8.0),
+        dict(k=True),
     ):
         with pytest.raises(ValueError):
             TrainingConfig(**bad)
