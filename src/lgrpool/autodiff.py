@@ -3,7 +3,7 @@
 Every Value wraps a 2-d numpy array. Operations build a tape of parent
 links with local backward closures; backward() runs one reverse
 topological sweep from a scalar loss, accumulating gradients additively
-for shared sub-expressions. Sparse matrices are constants: spmm
+for shared sub-expressions. Sparse matrices are constants: ppr
 propagates gradient to its dense operand only.
 
 A tape is single use: calling backward twice on the same loss raises.
@@ -108,12 +108,34 @@ def matmul(a: Value, b: Value) -> Value:
     )
 
 
-def spmm(s: SparseMatrix, b: Value) -> Value:
-    """Sparse-dense product; gradient flows to the dense operand only."""
-    if s.shape[1] != b.data.shape[0]:
-        raise ShapeMismatch("spmm", s.shape, b.data.shape)
-    out = s.matmul_dense(b.data)
-    return _make("spmm", out, [(b, lambda g, s=s: s.transpose_matmul_dense(g))])
+def ppr(adj: SparseMatrix, h: Value, alpha: float, k: int) -> Value:
+    """k steps of Z <- (1-alpha) A Z + alpha H from Z = H, as one tape node.
+
+    adj must be symmetric, as build_normalized_adjacency makes it: the
+    backward uses A where the adjoint needs A.T. PPR is linear in H, so
+    the backward is the adjoint recurrence, k steps of dH += alpha g;
+    g <- (1-alpha) A g, then dH += g. It keeps nothing from the forward
+    pass. Gradient flows to h only; adj is a constant.
+    """
+    if adj.shape[1] != h.data.shape[0]:
+        raise ShapeMismatch("ppr", adj.shape, h.data.shape)
+    teleport = h.data * alpha
+    z = h.data
+    for _ in range(k):
+        z = adj.matmul_dense(z)
+        z *= 1.0 - alpha
+        z += teleport
+
+    def back(g):
+        dh = np.zeros_like(g)
+        for _ in range(k):
+            dh += alpha * g
+            g = adj.matmul_dense(g)
+            g *= 1.0 - alpha
+        dh += g
+        return dh
+
+    return _make("ppr", z, [(h, back)])
 
 
 def add(a: Value, b: Value) -> Value:

@@ -190,9 +190,12 @@ def _ablate_one(dataset, config_dict: dict, gamma: float, seed: int):
 
 
 def _run_jobs(worker, jobs_args, num_jobs: int):
-    if num_jobs <= 1:
+    """worker(*args) for each args, in order, over at most num_jobs
+    processes and never more processes than jobs."""
+    workers = min(num_jobs, len(jobs_args))
+    if workers <= 1:
         return [worker(*args) for args in jobs_args]
-    with ProcessPoolExecutor(max_workers=num_jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(worker, *args) for args in jobs_args]
         return [f.result() for f in futures]
 
@@ -336,7 +339,7 @@ def primitive_targets(inject_fault: bool = False):
 
     a34, b45 = p((3, 4)), p((4, 5))
     t("matmul", lambda ps: ad.sum_all(ad.matmul(ps["a"], ps["b"])), {"a": a34, "b": b45})
-    t("spmm", lambda ps: ad.sum_all(ad.spmm(adj, ps["b"])), {"b": p((4, 3))})
+    t("ppr", lambda ps: ad.sum_all(ad.sum_sq_rows(ad.ppr(adj, ps["h"], 0.3, 4))), {"h": p((4, 3))})
     t("add", lambda ps: ad.sum_all(ad.add(ps["a"], ps["b"])), {"a": p((3, 4)), "b": p((3, 4))})
     t("add_row_broadcast", lambda ps: ad.sum_all(ad.add(ps["a"], ps["b"])), {"a": p((3, 4)), "b": p((1, 4))})
     t("sub", lambda ps: ad.sum_all(ad.sub(ps["a"], ps["b"])), {"a": p((3, 4)), "b": p((3, 4))})
@@ -448,6 +451,12 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------- entrypoint
 
 
+def _job_count(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -469,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_train)
     p_train.add_argument("--seeds", default="0", help='"A..B" inclusive or comma list')
     p_train.add_argument("--gamma", type=float, default=None, help="override the regularizer weight")
-    p_train.add_argument("--jobs", type=int, default=1, help="concurrent seed jobs")
+    p_train.add_argument("--jobs", type=_job_count, default=1, help="concurrent seed jobs")
     p_train.set_defaults(fn=cmd_train)
 
     p_eval = sub.add_parser("eval")
@@ -481,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_ablate)
     p_ablate.add_argument("--seeds", default="0..9")
     p_ablate.add_argument("--gamma", default=None, help="comma list of regularizer weights")
-    p_ablate.add_argument("--jobs", type=int, default=1)
+    p_ablate.add_argument("--jobs", type=_job_count, default=1)
     p_ablate.set_defaults(fn=cmd_ablate)
 
     p_grad = sub.add_parser("gradcheck")

@@ -100,21 +100,29 @@ class SplitSpec:
     fractions: tuple = (0.8, 0.1, 0.1)
 
 
+def _line_of(path: str, row: int) -> int:
+    """The 1-based file line of non-blank row `row`; read on errors only."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    return [i for i, line in enumerate(lines, start=1) if line.strip()][row]
+
+
 def _reject(bad, describe, path: str | None = None) -> None:
     """Raise ParseError(describe(i)) for the first index i flagged in bad,
-    naming line i + 1 of path when bad runs over that file's rows."""
+    naming the file line of row i when bad runs over path's rows."""
     flagged = np.flatnonzero(bad)
     if flagged.size:
-        where = f"{path} line {flagged[0] + 1}: " if path else ""
+        where = f"{path} line {_line_of(path, flagged[0])}: " if path else ""
         raise ParseError(where + describe(flagged[0]))
 
 
 def _read_table(path: str, dtype, columns: int | None = None, optional: bool = False):
     """Read a comma-separated numeric file into a 2-D array.
 
-    Rows are the non-blank lines, and "line N" in errors counts them.
-    Every row must hold `columns` values, or as many as the first row
-    when that is None. Returns None for a missing optional file.
+    Rows are the non-blank lines; "line N" in errors is the file's own
+    line N, blank lines included. Every row must hold `columns` values,
+    or as many as the first row when that is None. Returns None for a
+    missing optional file.
     """
     if optional and not os.path.isfile(path):
         return None
@@ -143,7 +151,7 @@ def _read_table(path: str, dtype, columns: int | None = None, optional: bool = F
     expected = columns or rows[0].count(b",") + 1
     text = rows[good].decode(errors="replace").strip()
     raise ParseError(
-        f"{path} line {good + 1}: expected {expected} comma-separated "
+        f"{path} line {_line_of(path, good)}: expected {expected} comma-separated "
         f"{np.dtype(dtype).name} values, got {text!r}"
     )
 

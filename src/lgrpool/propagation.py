@@ -86,11 +86,7 @@ def ppr_propagate(adj_norm: SparseMatrix, h: Value, alpha: float, k: int) -> Val
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    teleport = ad.scale(h, alpha)
-    z = h
-    for _ in range(k):
-        z = ad.add(ad.scale(ad.spmm(adj_norm, z), 1.0 - alpha), teleport)
-    return z
+    return ad.ppr(adj_norm, h, alpha, k)
 
 
 def ppr_closed_form(adj_dense: np.ndarray, h: np.ndarray, alpha: float) -> np.ndarray:

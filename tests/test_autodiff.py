@@ -3,6 +3,7 @@ import pytest
 
 from lgrpool import autodiff as ad
 from lgrpool.cli import _sigmoid_wrong_derivative, primitive_targets
+from lgrpool.data import build_normalized_adjacency
 from lgrpool.errors import (
     DoubleBackward,
     NonDeterministic,
@@ -24,10 +25,10 @@ def test_softmax_rows_sum_to_one():
     np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
 
 
-def test_spmm_identity_is_exact():
+def test_ppr_identity_adjacency_is_exact():
     rng = np.random.default_rng(1)
     b = rng.normal(size=(7, 3))
-    out = ad.spmm(SparseMatrix.identity(7), ad.constant(b))
+    out = ad.ppr(SparseMatrix.identity(7), ad.constant(b), 0.5, 6)
     assert np.array_equal(out.data, b)
 
 
@@ -76,21 +77,35 @@ def test_gradients_accumulate_across_tapes():
     np.testing.assert_allclose(x.grad, 0.0)
 
 
-def test_spmm_backward_matches_transpose_product():
+def ppr_operator(adj, alpha, k):
+    """Dense M = (1-alpha)^k A^k + alpha sum_{t<k} (1-alpha)^t A^t."""
+    powers = [np.eye(adj.shape[0])]
+    for _ in range(k):
+        powers.append(powers[-1] @ adj)
+    c = 1.0 - alpha
+    return c**k * powers[k] + alpha * sum(c**t * powers[t] for t in range(k))
+
+
+def test_ppr_matches_dense_operator_and_its_transpose():
     rng = np.random.default_rng(3)
-    n = 9
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        for j in range(n):
-            if rng.random() < 0.3:
-                rows.append(i)
-                cols.append(j)
-                vals.append(rng.normal())
-    s = SparseMatrix.from_coo(rows, cols, vals, (n, n))
-    b = ad.parameter(rng.normal(size=(n, 4)))
-    c = rng.normal(size=(n, 4))
-    ad.backward(ad.sum_all(ad.hadamard(ad.spmm(s, b), ad.constant(c))))
-    np.testing.assert_allclose(b.grad, s.to_dense().T @ c, atol=1e-12)
+    for trial in range(40):
+        n = int(rng.integers(1, 12))
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35]
+        adj = build_normalized_adjacency(n, edges)
+        alpha = float(rng.uniform(0.05, 1.0))
+        k = int(rng.integers(1, 12))
+        m = ppr_operator(adj.to_dense(), alpha, k)
+        h = ad.parameter(rng.normal(size=(n, 4)))
+        c = rng.normal(size=(n, 4))
+        out = ad.ppr(adj, h, alpha, k)
+        np.testing.assert_allclose(out.data, m @ h.data, rtol=1e-12, atol=1e-12)
+        ad.backward(ad.sum_all(ad.hadamard(out, ad.constant(c))))
+        np.testing.assert_allclose(h.grad, m.T @ c, rtol=1e-12, atol=1e-12)
+
+
+def test_ppr_checks_the_adjacency_shape():
+    with pytest.raises(ShapeMismatch):
+        ad.ppr(SparseMatrix.identity(3), ad.constant(np.ones((4, 2))), 0.3, 2)
 
 
 def test_backward_requires_scalar():

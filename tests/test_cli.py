@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from lgrpool.cli import (
     parse_seeds,
 )
 from lgrpool.data import emit_tu_dataset, parse_tu_dataset
+from lgrpool.errors import NonFinite
 
 from toydata import make_toy_dataset
 
@@ -296,6 +298,76 @@ def test_pooled_training_matches_serial(toy_dir, cfg_file, tmp_path, capsys):
     assert serial[0] == pooled[0] == 2
     assert "aborted on non-finite loss: expectation phase, round 1, epoch 0: " in serial[1]
     assert pooled[1] == serial[1]
+
+
+class RecordingPool:
+    """Stand-in for ProcessPoolExecutor: records its size, runs jobs inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_jobs_start_no_more_workers_than_jobs(toy_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    quick = tmp_path / "quick.cfg"
+    quick.write_text(CONFIG_TEXT + "epochs = 1\nem_rounds_max = 1\n")
+    common = ["--dataset", toy_dir, "--config", str(quick)]
+    assert main(["train", *common, "--seeds", "0,1", "--jobs", "64", "--out", str(tmp_path / "t")]) == 0
+    assert main(["ablate", *common, "--seeds", "0,1", "--gamma", "0.1,0.2", "--jobs", "3",
+                 "--out", str(tmp_path / "a")]) == 0
+    assert main(["train", *common, "--seeds", "0", "--jobs", "8", "--out", str(tmp_path / "s")]) == 0
+    assert RecordingPool.sizes == [2, 3]
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exit_1(toy_dir, cfg_file, tmp_path, capsys, command, jobs):
+    out = tmp_path / "out"
+    argv = [command, "--dataset", toy_dir, "--config", cfg_file, "--seeds", "0", "--jobs", jobs]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert "argument --jobs: expected an integer of at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_worker_empty_split_exits_1_as_serially(cfg_file, tmp_path, capsys):
+    five = tmp_path / "FIVE"
+    emit_tu_dataset(make_toy_dataset(5, name="FIVE"), str(five))
+    errs = []
+    for jobs in ("1", "2"):
+        rc = main(["train", "--dataset", str(five), "--config", cfg_file, "--seeds", "0,1",
+                   "--jobs", jobs, "--out", str(tmp_path / jobs)])
+        assert rc == 1
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == "error: split sizes (4, 0, 1) contain an empty part\n"
+
+
+def test_worker_non_finite_reaches_main_and_exits_2(toy_dir, cfg_file, tmp_path, monkeypatch, capsys):
+    def diverging_fit(dataset, config_dict, **overrides):
+        raise NonFinite(f"seed {overrides['seed']} diverged")
+
+    # Pool workers are forked after this, so they run the stand-in too.
+    monkeypatch.setattr(cli, "_fit", diverging_fit)
+    errs = []
+    for jobs in ("1", "2"):
+        rc = main(["train", "--dataset", toy_dir, "--config", cfg_file, "--seeds", "0,1",
+                   "--jobs", jobs, "--out", str(tmp_path / jobs)])
+        assert rc == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == "aborted on non-finite loss: seed 0 diverged\n"
 
 
 # ---------------------------------------------------------------- ablate

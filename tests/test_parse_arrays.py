@@ -371,7 +371,12 @@ MALFORMED = {
         "0.5, 1\n1.5, 2\n2.5, nan\n3.5, 4\n",
         ["graph 2: non-finite", "node_attributes.txt line 3"],
     ),
-    "line numbers count non-blank lines": ("A.txt", "1, 2\n\n  \n2, x\n", ["BAD_A.txt line 2"]),
+    "line numbers count blank lines": ("A.txt", "1, 2\n\n  \n2, x\n", ["BAD_A.txt line 4"]),
+    "mask errors count blank lines": (
+        "graph_indicator.txt",
+        "\n1\n1\n\n2\n3\n",
+        ["graph_indicator.txt line 6", "graph id 3"],
+    ),
 }
 
 
