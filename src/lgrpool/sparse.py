@@ -74,12 +74,3 @@ class SparseMatrix:
     def transpose_matmul_dense(self, b: np.ndarray) -> np.ndarray:
         """S.T @ B, used by the backward rule of sparse-dense products."""
         return np.asarray(self._csr.T @ b, dtype=np.float64)
-
-    def row_sums(self) -> np.ndarray:
-        return np.asarray(self._csr.sum(axis=1)).ravel()
-
-    def is_symmetric(self, tol: float = 0.0) -> bool:
-        d = self._csr - self._csr.T
-        if d.nnz == 0:
-            return True
-        return bool(np.max(np.abs(d.data)) <= tol)

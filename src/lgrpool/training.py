@@ -10,6 +10,7 @@ parameters or moments.
 """
 from __future__ import annotations
 
+import base64
 import json
 import os
 import time
@@ -25,7 +26,7 @@ from .errors import EmptySplit, NonFinite, ShapeMismatch
 from .model import ParameterSet, init_parameters
 from .propagation import propagate_graph
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -415,10 +416,28 @@ def save_checkpoint(path, params: ParameterSet, config: TrainingConfig) -> None:
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "config": config.to_dict(),
-        "parameters": {name: arr.tolist() for name, arr in params.snapshot().items()},
+        "parameters": {
+            name: {"shape": list(arr.shape), "f8le": base64.b64encode(arr.astype("<f8").tobytes()).decode()}
+            for name, arr in params.snapshot().items()
+        },
     }
     with atomic_write(path) as fh:
         json.dump(payload, fh)
+
+
+def _decode_array(name: str, value, version: int) -> np.ndarray:
+    """A version-1 number list or version-2 shape/f8le object as a float64 array."""
+    try:
+        if version == 1:
+            arr = np.asarray(value, dtype=np.float64)
+        else:
+            raw = base64.b64decode(value["f8le"], validate=True)
+            arr = np.frombuffer(raw, "<f8").reshape(value["shape"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint array {name} is malformed: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise ValueError(f"checkpoint array {name} has non-finite values")
+    return arr
 
 
 def load_checkpoint(path):
@@ -428,15 +447,15 @@ def load_checkpoint(path):
     if not isinstance(payload, dict):
         raise ValueError(f"checkpoint is not a JSON object: {path}")
     version = payload.get("format_version")
-    if version != CHECKPOINT_VERSION:
+    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
         raise ValueError(f"unsupported checkpoint version {version!r}")
     for key in ("config", "parameters"):
         if not isinstance(payload.get(key), dict):
             raise ValueError(f"checkpoint has no {key!r} object: {path}")
     config = TrainingConfig.from_dict(payload["config"])
     arrays = {
-        name: np.asarray(arr, dtype=np.float64)
-        for name, arr in payload["parameters"].items()
+        name: _decode_array(name, value, version)
+        for name, value in payload["parameters"].items()
     }
     return config, arrays
 

@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import shutil
@@ -230,6 +231,53 @@ def _with_config(key, value):
     return damage
 
 
+def _decoded(entry):
+    return np.frombuffer(base64.b64decode(entry["f8le"]), "<f8").reshape(entry["shape"])
+
+
+def _with_v1_array(name, edit):
+    """Rewrite the checkpoint in version-1 form (nested number lists), then
+    let ``edit`` change the named list."""
+
+    def damage(payload):
+        payload["format_version"] = 1
+        payload["parameters"] = {
+            key: _decoded(entry).tolist() for key, entry in payload["parameters"].items()
+        }
+        payload["parameters"][name] = edit(payload["parameters"][name])
+        return payload
+
+    return damage
+
+
+def _with_v2_entry(name, edit):
+    def damage(payload):
+        edit(payload["parameters"][name])
+        return payload
+
+    return damage
+
+
+def _set_first(value):
+    def edit(rows):
+        rows[0][0] = value
+        return rows
+
+    return edit
+
+
+def _reencode(transform):
+    def edit(entry):
+        entry["f8le"] = base64.b64encode(transform(_decoded(entry).copy())).decode()
+
+    return edit
+
+
+def _with_inf(arr):
+    arr[0, 0] = np.inf
+    return arr.tobytes()
+
+
 @pytest.mark.parametrize(
     "damage, named",
     [
@@ -240,6 +288,51 @@ def _with_config(key, value):
         (_with_config("gamma", "x"), "gamma must be float"),
         (_with_config("hidden", 8.0), "hidden must be int"),
         (_with_config("k", True), "k must be int"),
+        pytest.param(
+            _with_v1_array("prop.bc", lambda rows: {"x": 1}),
+            "checkpoint array prop.bc is malformed",
+            id="v1-object-for-list",
+        ),
+        pytest.param(
+            _with_v1_array("prop.bc", lambda rows: "abc"),
+            "checkpoint array prop.bc is malformed",
+            id="v1-string-for-list",
+        ),
+        pytest.param(
+            _with_v1_array("prop.bc", _set_first(float("nan"))),
+            "checkpoint array prop.bc has non-finite values",
+            id="v1-nan",
+        ),
+        pytest.param(
+            _with_v2_entry("prop.w1", lambda entry: entry.pop("shape")),
+            "checkpoint array prop.w1 is malformed: 'shape'",
+            id="v2-missing-shape",
+        ),
+        pytest.param(
+            _with_v2_entry("prop.w1", lambda entry: entry.pop("f8le")),
+            "checkpoint array prop.w1 is malformed: 'f8le'",
+            id="v2-missing-f8le",
+        ),
+        pytest.param(
+            _with_v2_entry("prop.w1", lambda entry: entry.update(f8le="*" + entry["f8le"])),
+            "checkpoint array prop.w1 is malformed",
+            id="v2-invalid-base64",
+        ),
+        pytest.param(
+            _with_v2_entry("prop.w1", _reencode(lambda arr: arr.tobytes()[:-8])),
+            "checkpoint array prop.w1 is malformed",
+            id="v2-short-bytes",
+        ),
+        pytest.param(
+            _with_v2_entry("prop.w1", _reencode(lambda arr: arr.tobytes()[:-3])),
+            "checkpoint array prop.w1 is malformed",
+            id="v2-ragged-bytes",
+        ),
+        pytest.param(
+            _with_v2_entry("prop.w1", _reencode(_with_inf)),
+            "checkpoint array prop.w1 has non-finite values",
+            id="v2-inf",
+        ),
     ],
 )
 def test_eval_malformed_checkpoint_exits_1(trained, tmp_path, capsys, damage, named):

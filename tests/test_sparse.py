@@ -53,18 +53,6 @@ def test_transpose_matmul_dense_matches_dense_product():
     assert np.abs(s.transpose_matmul_dense(g) - s.to_dense().T @ g).max() <= 1e-12
 
 
-def test_row_sums():
-    s = SparseMatrix.from_coo([0, 0, 2], [0, 1, 2], [1.0, 2.0, -4.0], (3, 3))
-    np.testing.assert_allclose(s.row_sums(), [3.0, 0.0, -4.0])
-
-
-def test_is_symmetric():
-    sym = SparseMatrix.from_coo([0, 1], [1, 0], [2.0, 2.0], (2, 2))
-    asym = SparseMatrix.from_coo([0, 1], [1, 0], [2.0, 1.0], (2, 2))
-    assert sym.is_symmetric()
-    assert not asym.is_symmetric()
-
-
 def test_validation_rejects_bad_indptr():
     with pytest.raises(ValueError):
         SparseMatrix(indptr=[0, 2], indices=[0], data=[1.0], shape=(1, 2))
@@ -86,7 +74,7 @@ def test_validation_allows_descent_across_row_boundary():
 
 def test_validation_accepts_empty_rows():
     m = SparseMatrix(indptr=[0, 0, 2, 2, 3, 3], indices=[1, 2, 0], data=[1.0, 2.0, 3.0], shape=(5, 3))
-    assert m.row_sums().tolist() == [0.0, 3.0, 0.0, 3.0, 0.0]
+    assert m.to_dense().sum(axis=1).tolist() == [0.0, 3.0, 0.0, 3.0, 0.0]
     assert SparseMatrix(indptr=[0, 0, 0], indices=[], data=[], shape=(2, 2)).nnz == 0
 
 

@@ -385,6 +385,43 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(a[name], b[name]), name
 
 
+def test_version_1_checkpoint_still_loads(tmp_path):
+    params = init_parameters(37, 200, 2, 14, 0)
+    path = tmp_path / "v1.json"
+    # The version-1 writer, kept here as the oracle: nested number lists.
+    payload = {
+        "format_version": 1,
+        "config": TOY_CONFIG.to_dict(),
+        "parameters": {name: arr.tolist() for name, arr in params.snapshot().items()},
+    }
+    path.write_text(json.dumps(payload))
+    config, arrays = load_checkpoint(path)
+    assert config == TOY_CONFIG
+    expected = params.snapshot()
+    assert arrays.keys() == expected.keys()
+    for name, arr in expected.items():
+        assert arrays[name].dtype == np.float64
+        assert arrays[name].tobytes() == arr.tobytes(), name
+
+
+def test_version_2_checkpoint_round_trips_bitwise_and_deterministically(tmp_path):
+    params = init_parameters(37, 200, 2, 14, 0)
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    save_checkpoint(first, params, TOY_CONFIG)
+    save_checkpoint(second, params, TOY_CONFIG)
+    assert first.read_bytes() == second.read_bytes()
+    payload = json.loads(first.read_text())
+    assert payload["format_version"] == 2
+    assert payload["parameters"]["prop.w1"]["shape"] == [37, 200]
+    config, arrays = load_checkpoint(first)
+    assert config == TOY_CONFIG
+    expected = params.snapshot()
+    assert arrays.keys() == expected.keys()
+    for name, arr in expected.items():
+        assert arrays[name].shape == arr.shape, name
+        assert arrays[name].tobytes() == arr.tobytes(), name
+
+
 def test_checkpoint_with_optimizer_block_still_loads(tmp_path):
     params = init_parameters(2, 4, 2, 1, 0)
     path = tmp_path / "old.json"
@@ -419,6 +456,11 @@ def test_checkpoint_version_rejected(tmp_path):
     path.write_text(json.dumps({"format_version": 999, "config": {}, "parameters": {}}))
     with pytest.raises(ValueError):
         load_checkpoint(path)
+    # JSON true and 2.0 compare equal to 1 and 2 but are not versions.
+    for version in (True, 2.0, "2"):
+        path.write_text(json.dumps({"format_version": version, "config": {}, "parameters": {}}))
+        with pytest.raises(ValueError, match="unsupported checkpoint version"):
+            load_checkpoint(path)
 
 
 def test_metrics_csv_format(tmp_path):
