@@ -25,6 +25,8 @@ from .errors import (
 from .sparse import SparseMatrix
 
 PROB_CLAMP = 1e-12
+GRADCHECK_SAMPLE_FRACTION = 0.05
+GRADCHECK_MIN_COORDS = 20
 
 
 class Value:
@@ -308,8 +310,8 @@ def _topo_order(root: Value):
     return order
 
 
-def backward(loss: Value) -> dict:
-    """Reverse sweep from a 1x1 loss; returns {leaf Value: gradient}."""
+def backward(loss: Value) -> None:
+    """Reverse sweep from a 1x1 loss; gradients accumulate into .grad."""
     if loss.data.shape != (1, 1):
         raise NotScalar(f"backward requires a 1x1 loss, got {loss.data.shape}")
     if loss._backward_done:
@@ -324,30 +326,19 @@ def backward(loss: Value) -> dict:
             continue
         for parent, fn in node._parents:
             parent.accumulate_grad(fn(g))
-    return {
-        node: node.grad
-        for node in order
-        if node.requires_grad and not node._parents
-    }
 
 
 # ---------------------------------------------------------------- grad check
 
 
-def grad_check(
-    builder,
-    params,
-    eps: float = 1e-6,
-    sample_fraction: float = 0.05,
-    min_coords: int = 20,
-    seed: int = 0,
-) -> float:
+def grad_check(builder, params, eps: float = 1e-6, seed: int = 0) -> float:
     """Compare backward gradients against central finite differences.
 
     builder maps the parameter set to a scalar loss Value and must be
-    deterministic. A random coordinate sample (at least min_coords per
-    array) is perturbed by +-eps. Returns the maximum of
-    |analytic - numeric| / max(1, |numeric|) over sampled coordinates.
+    deterministic. A random coordinate sample (GRADCHECK_SAMPLE_FRACTION
+    of each array, at least GRADCHECK_MIN_COORDS) is perturbed by +-eps.
+    Returns the maximum of |analytic - numeric| / max(1, |numeric|) over
+    sampled coordinates.
     """
     if not (1e-7 <= eps <= 1e-3):
         raise ValueError(f"eps must lie in [1e-7, 1e-3], got {eps}")
@@ -369,7 +360,7 @@ def grad_check(
     for name, v in named:
         flat = v.data.reshape(-1)
         total = flat.size
-        k = min(total, max(min_coords, int(np.ceil(sample_fraction * total))))
+        k = min(total, max(GRADCHECK_MIN_COORDS, int(np.ceil(GRADCHECK_SAMPLE_FRACTION * total))))
         coords = rng.choice(total, size=k, replace=False)
         a_flat = analytic[name].reshape(-1)
         for c in coords:

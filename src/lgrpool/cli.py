@@ -5,7 +5,7 @@ dataset, seeds, input content hash, output directory) is written before
 any training starts, so a directory of artifacts is self-describing and
 re-runs with identical inputs overwrite it with identical bytes.
 
-Exit codes: 0 success, 1 argument/config/dataset problems, 2 a
+Exit codes: 0 success, 1 argument/config/dataset/path problems, 2 a
 non-finite loss aborted training, 3 gradient checks failed.
 """
 from __future__ import annotations
@@ -22,10 +22,10 @@ import numpy as np
 
 from . import autodiff as ad
 from . import data as data_mod
-from . import pooling, propagation, training
+from . import training
 from .data import SplitSpec, parse_tu_dataset, split_dataset
 from .errors import LgrPoolError, NonFinite
-from .model import init_parameters
+from .model import graph_total_loss, init_parameters
 from .training import TrainingConfig
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -71,17 +71,20 @@ def load_config(path: str | None, overrides: dict) -> TrainingConfig:
 
 
 def parse_seeds(text: str):
-    """Either an inclusive range "A..B" or a comma list "0,3,7"."""
+    """Either an inclusive range "A..B" or a comma list "0,3,7" of
+    distinct non-negative seeds."""
     text = text.strip()
     if ".." in text:
         lo_text, _, hi_text = text.partition("..")
-        lo, hi = int(lo_text), int(hi_text)
-        if hi < lo:
-            raise ValueError(f"empty seed range {text!r}")
-        return list(range(lo, hi + 1))
-    seeds = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        seeds = list(range(int(lo_text), int(hi_text) + 1))
+    else:
+        seeds = [int(tok) for tok in text.split(",") if tok.strip() != ""]
     if not seeds:
         raise ValueError(f"no seeds in {text!r}")
+    if min(seeds) < 0:
+        raise ValueError(f"seeds must be non-negative, got {text!r}")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"duplicate seeds in {text!r}")
     return seeds
 
 
@@ -93,6 +96,8 @@ def parse_gammas(text: str):
         raise ValueError("gamma values must be finite")
     if any(g < 0 for g in gammas):
         raise ValueError("gamma values must be non-negative")
+    if len(set(gammas)) != len(gammas):
+        raise ValueError(f"duplicate gamma values in {text!r}")
     return gammas
 
 
@@ -291,15 +296,11 @@ def cmd_inspect(args) -> int:
             config.num_pooling_layers,
             seed=0,
         )
-        out = propagation.propagate_graph(graph, params.prop, config.alpha, config.k)
-        trace = pooling.hierarchical_pool(
-            graph,
-            ad.constant(out.z_pre.data),
-            params.pool,
-            config.s_thre,
-            config.num_pooling_layers,
+        losses = graph_total_loss(
+            graph, params, config.alpha, config.k, config.s_thre,
+            config.num_pooling_layers, config.gamma,
         )
-        print(json.dumps(trace.summary(), sort_keys=True))
+        print(json.dumps(losses.trace.summary(), sort_keys=True))
     return 0
 
 
@@ -378,31 +379,23 @@ def _gradcheck_graph():
 
 
 def full_loss_target(eps: float, num_classes: int = 3, hidden: int = 5):
-    """Builder and parameters for the whole training loss on the fixed
-    6-node graph, pooled to depth 2.
+    """Builder and parameters for model.graph_total_loss, the loss that
+    training runs, on the fixed 6-node graph pooled to depth 2.
 
-    The propagated representations are NOT detached here, so gradients
-    of both loss terms flow into every parameter block. Initialization
-    seeds are searched deterministically until every edge score clears
-    the threshold by a wide margin and the pooled depth is exactly 2,
-    which keeps the discrete structure constant under the perturbations
-    the checker applies.
+    Every parameter is live, so gradients of both loss terms flow into
+    every parameter block. Initialization seeds are searched
+    deterministically until every edge score clears the threshold by a
+    wide margin and the pooled depth is exactly 2, which keeps the
+    discrete structure constant under the perturbations the checker
+    applies.
     """
     graph = _gradcheck_graph()
     s_thre = 0.5
     margin = max(1e-4, 10.0 * eps)
 
     def build_loss(params_set):
-        out_z = propagation.mlp_forward(ad.constant(graph.features), params_set.prop)
-        z_pre = propagation.ppr_propagate(graph.adj_norm, out_z, alpha=0.3, k=4)
-        probs, y_pred = propagation.classify(z_pre, params_set.prop.wc, params_set.prop.bc)
-        l_exp = propagation.expectation_loss(y_pred, graph.label)
-        trace = pooling.hierarchical_pool(graph, z_pre, params_set.pool, s_thre, 2)
-        coarse_edges = trace.layers[-1].coarse_edges if trace.layers else []
-        l_precor = pooling.prediction_correction_loss(
-            trace.z_cor, z_pre, trace.composed_map, coarse_edges
-        )
-        return pooling.total_loss(l_exp, l_precor, gamma=0.2), trace
+        losses = graph_total_loss(graph, params_set, 0.3, 4, s_thre, 2, 0.2)
+        return losses.l_tot, losses.trace
 
     for seed in range(400):
         params_set = init_parameters(4, hidden, num_classes, 2, seed)
@@ -519,7 +512,7 @@ def main(argv=None) -> int:
     except NonFinite as exc:
         print(f"aborted on non-finite loss: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, FileNotFoundError, LgrPoolError) as exc:
+    except (ValueError, OSError, LgrPoolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

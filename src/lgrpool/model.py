@@ -1,10 +1,9 @@
 """Full model: parameter set and the two per-graph loss tapes.
 
-The expectation tape touches only the propagation parameters and the
-classification loss. The full tape additionally runs the pooling
-hierarchy on detached propagated features and adds the weighted
-prediction-correction term, which is the only path reaching the pooling
-parameters.
+The expectation tape holds the classification loss. The full tape
+additionally pools the propagated features and adds the weighted
+prediction-correction term. Nothing here freezes a parameter: a caller
+freezes θ, the propagation parameters, by passing them as constants.
 """
 from __future__ import annotations
 
@@ -12,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from . import pooling, propagation
 from .autodiff import Value
 from .data import Graph
@@ -93,21 +91,20 @@ def graph_total_loss(
 ) -> GraphLosses:
     """Full tape: expectation loss plus weighted alignment regularizer.
 
-    The pooling hierarchy consumes the propagated representations as
-    constants, so the regularizer's gradient reaches only the pooling
-    parameters; the classification path is shared with the expectation
-    tape and reaches only the propagation parameters.
+    Training, gradcheck and ``inspect --trace`` all call this one
+    assembly. The caller freezes θ by passing ``params.prop.constants()``,
+    as the M phase does; the regularizer's gradient then reaches only
+    the pooling parameters.
     """
     out = propagation.propagate_graph(graph, params.prop, alpha, k)
     l_exp = propagation.expectation_loss(out.y_pred, graph.label)
 
-    z_detached = ad.constant(out.z_pre.data)
     trace = pooling.hierarchical_pool(
-        graph, z_detached, params.pool, s_thre, num_pool_layers
+        graph, out.z_pre, params.pool, s_thre, num_pool_layers
     )
     coarse_edges = trace.layers[-1].coarse_edges if trace.layers else []
     l_precor = pooling.prediction_correction_loss(
-        trace.z_cor, z_detached, trace.composed_map, coarse_edges
+        trace.z_cor, out.z_pre, trace.composed_map, coarse_edges
     )
     l_tot = pooling.total_loss(l_exp, l_precor, gamma)
     return GraphLosses(

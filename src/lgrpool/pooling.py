@@ -269,7 +269,6 @@ def prediction_correction_loss(
     z_pre: Value,
     composed_map: np.ndarray,
     coarse_edges,
-    spread_clamp: float = SPREAD_CLAMP,
 ) -> Value:
     """Alignment minus spread.
 
@@ -277,7 +276,7 @@ def prediction_correction_loss(
     propagated representation toward its supernode's pooled one. The
     second sum runs over deduplicated coarse edges, counted once per
     unordered pair, and pushes adjacent supernodes apart; each squared
-    distance is clamped at spread_clamp before negation so the loss
+    distance is clamped at SPREAD_CLAMP before negation so the loss
     stays bounded below.
     """
     if z_cor.data.shape[1] != z_pre.data.shape[1]:
@@ -288,7 +287,7 @@ def prediction_correction_loss(
     if not len(pairs):
         return align_term
     d = ad.sum_sq_rows(ad.sub(ad.gather_rows(z_cor, pairs[:, 0]), ad.gather_rows(z_cor, pairs[:, 1])))
-    cap = ad.constant(np.full((len(pairs), 1), spread_clamp))
+    cap = ad.constant(np.full((len(pairs), 1), SPREAD_CLAMP))
     clamped = ad.sub(cap, ad.relu(ad.sub(cap, d)))
     return ad.sub(align_term, ad.sum_all(clamped))
 

@@ -47,7 +47,6 @@ class PropagationParams:
 @dataclass
 class PropagationOutput:
     z_pre: Value
-    probs: Value
     y_pred: Value
 
 
@@ -127,5 +126,5 @@ def propagate_graph(
     x = ad.constant(graph.features)
     h = mlp_forward(x, params)
     z_pre = ppr_propagate(graph.adj_norm, h, alpha, k)
-    probs, y_pred = classify(z_pre, params.wc, params.bc)
-    return PropagationOutput(z_pre=z_pre, probs=probs, y_pred=y_pred)
+    _, y_pred = classify(z_pre, params.wc, params.bc)
+    return PropagationOutput(z_pre=z_pre, y_pred=y_pred)

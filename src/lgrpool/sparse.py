@@ -55,11 +55,6 @@ class SparseMatrix:
         m.sort_indices()
         return cls(m.indptr, m.indices, m.data, m.shape)
 
-    @classmethod
-    def identity(cls, n: int) -> "SparseMatrix":
-        m = sp.identity(n, dtype=np.float64, format="csr")
-        return cls(m.indptr, m.indices, m.data, m.shape)
-
     @property
     def nnz(self) -> int:
         return len(self.data)

@@ -11,7 +11,6 @@ from lgrpool.errors import (
     NotScalar,
     ShapeMismatch,
 )
-from lgrpool.sparse import SparseMatrix
 
 
 def test_sigmoid_at_zero():
@@ -28,14 +27,14 @@ def test_softmax_rows_sum_to_one():
 def test_ppr_identity_adjacency_is_exact():
     rng = np.random.default_rng(1)
     b = rng.normal(size=(7, 3))
-    out = ad.ppr(SparseMatrix.identity(7), ad.constant(b), 0.5, 6)
+    out = ad.ppr(build_normalized_adjacency(7, []), ad.constant(b), 0.5, 6)
     assert np.array_equal(out.data, b)
 
 
 def test_backward_of_sum_is_ones():
     x = ad.parameter(np.arange(6.0).reshape(2, 3))
-    grads = ad.backward(ad.sum_all(x))
-    np.testing.assert_allclose(grads[x], np.ones((2, 3)))
+    ad.backward(ad.sum_all(x))
+    np.testing.assert_allclose(x.grad, np.ones((2, 3)))
 
 
 def test_backward_of_sum_of_squares_is_2x():
@@ -105,7 +104,7 @@ def test_ppr_matches_dense_operator_and_its_transpose():
 
 def test_ppr_checks_the_adjacency_shape():
     with pytest.raises(ShapeMismatch):
-        ad.ppr(SparseMatrix.identity(3), ad.constant(np.ones((4, 2))), 0.3, 2)
+        ad.ppr(build_normalized_adjacency(3, []), ad.constant(np.ones((4, 2))), 0.3, 2)
 
 
 def test_backward_requires_scalar():

@@ -67,6 +67,9 @@ def test_parse_seeds_forms():
         parse_seeds("5..4")
     with pytest.raises(ValueError):
         parse_seeds("")
+    for text in ("0,0", "3,1,3", "-1", "0,-2", "-2..1"):
+        with pytest.raises(ValueError):
+            parse_seeds(text)
 
 
 def test_parse_gammas_forms():
@@ -77,6 +80,9 @@ def test_parse_gammas_forms():
         parse_gammas("-0.1")
     with pytest.raises(ValueError):
         parse_gammas("0.1,zz")
+    for text in ("0.1,0.1", "0.2,0.1,0.20"):
+        with pytest.raises(ValueError):
+            parse_gammas(text)
 
 
 def test_parse_config_file(tmp_path):
@@ -138,6 +144,33 @@ def test_non_finite_train_gamma_exits_1_without_output(toy_dir, cfg_file, tmp_pa
     assert rc == 1
     assert "gamma must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra, named",
+    [
+        ("train", ["--seeds", "0,0"], "duplicate seeds"),
+        ("train", ["--seeds=-1"], "non-negative"),
+        ("ablate", ["--seeds", "0", "--gamma", "0.1,0.1"], "duplicate gamma"),
+    ],
+)
+def test_unusable_seed_or_gamma_list_exits_1_without_output(
+    toy_dir, cfg_file, tmp_path, capsys, command, extra, named
+):
+    out = tmp_path / "rejected"
+    rc = main([command, "--dataset", toy_dir, "--config", cfg_file, "--out", str(out)] + extra)
+    assert rc == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unusable_paths_exit_1(toy_dir, cfg_file, tmp_path, capsys):
+    taken = tmp_path / "a-file"
+    taken.write_text("")
+    assert main(["train", "--dataset", toy_dir, "--config", cfg_file, "--out", str(taken)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["train", "--dataset", toy_dir, "--config", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # -------------------------------------------------------------- training

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lgrpool.data import build_normalized_adjacency
 from lgrpool.sparse import SparseMatrix
 
 
@@ -31,7 +32,7 @@ def test_from_coo_sums_duplicates():
 def test_identity_spmm_is_exact():
     rng = np.random.default_rng(0)
     b = rng.uniform(-2, 2, size=(7, 3))
-    eye = SparseMatrix.identity(7)
+    eye = build_normalized_adjacency(7, [])
     assert np.array_equal(eye.matmul_dense(b), b)
 
 
