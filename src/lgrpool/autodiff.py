@@ -195,7 +195,8 @@ def scale_rows(a: Value, s: Value) -> Value:
 
 def sigmoid(a: Value) -> Value:
     x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return _make("sigmoid", out, [(a, lambda g, out=out: g * out * (1.0 - out))])
 
 

@@ -2,8 +2,10 @@
 
 The expectation tape holds the classification loss. The full tape
 additionally pools the propagated features and adds the weighted
-prediction-correction term. Nothing here freezes a parameter: a caller
-freezes θ, the propagation parameters, by passing them as constants.
+prediction-correction term. Both read ``alpha`` and ``k`` from the run's
+TrainingConfig; the full tape also reads ``s_thre``, ``num_pooling_layers``
+and ``gamma``. Nothing here freezes a parameter: a caller freezes θ, the
+propagation parameters, by passing them as constants.
 """
 from __future__ import annotations
 
@@ -74,21 +76,13 @@ class GraphLosses:
     trace: PoolingTrace
 
 
-def graph_expectation_loss(graph: Graph, params: ParameterSet, alpha: float, k: int) -> Value:
+def graph_expectation_loss(graph: Graph, params: ParameterSet, config) -> Value:
     """Classification tape only: propagate, read out, cross-entropy."""
-    out = propagation.propagate_graph(graph, params.prop, alpha, k)
+    out = propagation.propagate_graph(graph, params.prop, config.alpha, config.k)
     return propagation.expectation_loss(out.y_pred, graph.label)
 
 
-def graph_total_loss(
-    graph: Graph,
-    params: ParameterSet,
-    alpha: float,
-    k: int,
-    s_thre: float,
-    num_pool_layers: int,
-    gamma: float,
-) -> GraphLosses:
+def graph_total_loss(graph: Graph, params: ParameterSet, config) -> GraphLosses:
     """Full tape: expectation loss plus weighted alignment regularizer.
 
     Training, gradcheck and ``inspect --trace`` all call this one
@@ -96,17 +90,17 @@ def graph_total_loss(
     as the M phase does; the regularizer's gradient then reaches only
     the pooling parameters.
     """
-    out = propagation.propagate_graph(graph, params.prop, alpha, k)
+    out = propagation.propagate_graph(graph, params.prop, config.alpha, config.k)
     l_exp = propagation.expectation_loss(out.y_pred, graph.label)
 
     trace = pooling.hierarchical_pool(
-        graph, out.z_pre, params.pool, s_thre, num_pool_layers
+        graph, out.z_pre, params.pool, config.s_thre, config.num_pooling_layers
     )
     coarse_edges = trace.layers[-1].coarse_edges if trace.layers else []
     l_precor = pooling.prediction_correction_loss(
         trace.z_cor, out.z_pre, trace.composed_map, coarse_edges
     )
-    l_tot = pooling.total_loss(l_exp, l_precor, gamma)
+    l_tot = pooling.total_loss(l_exp, l_precor, config.gamma)
     return GraphLosses(
         l_exp=l_exp,
         l_precor=l_precor,

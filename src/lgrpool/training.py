@@ -179,23 +179,12 @@ def evaluate(params: ParameterSet, dataset: GraphDataset, config: TrainingConfig
     return _dataset_mean(dataset, correct)
 
 
-def _total_loss(graph, params: ParameterSet, config: TrainingConfig) -> model_mod.GraphLosses:
-    return model_mod.graph_total_loss(
-        graph,
-        params,
-        config.alpha,
-        config.k,
-        config.s_thre,
-        config.num_pooling_layers,
-        config.gamma,
-    )
-
-
 def mean_precor_error(dataset: GraphDataset, params: ParameterSet, config: TrainingConfig) -> float:
     """Dataset-mean |prediction-correction loss|, forward only."""
     frozen = ParameterSet(prop=params.prop.constants(), pool=params.pool.constants())
     return _dataset_mean(
-        dataset, lambda graph: abs(_total_loss(graph, frozen, config).l_precor.data[0, 0])
+        dataset,
+        lambda graph: abs(model_mod.graph_total_loss(graph, frozen, config).l_precor.data[0, 0]),
     )
 
 
@@ -258,7 +247,7 @@ def expectation_phase(
     """Mini-batch Adam on the classification loss; propagation group only."""
 
     def loss_of(graph):
-        l_exp = model_mod.graph_expectation_loss(graph, params, config.alpha, config.k)
+        l_exp = model_mod.graph_expectation_loss(graph, params, config)
         return l_exp, {"l_exp": l_exp}
 
     return _train_phase(
@@ -290,7 +279,7 @@ def maximization_phase(
     val_acc = evaluate(params, val, config) if val is not None else None
 
     def loss_of(graph):
-        losses = _total_loss(graph, frozen, config)
+        losses = model_mod.graph_total_loss(graph, frozen, config)
         reported = {"l_exp": losses.l_exp, "l_precor": losses.l_precor, "l_tot": losses.l_tot}
         return losses.l_tot, reported
 
@@ -406,7 +395,7 @@ def write_metrics_csv(path, metrics: RunMetrics) -> None:
 
 def write_gamma_csv(path, rows) -> None:
     lines = ["gamma,mean_acc,std_acc"]
-    for gamma, mean, std, _ in rows:
+    for gamma, mean, std in rows:
         lines.append(f"{_fmt(gamma)},{_fmt(mean)},{_fmt(std)}")
     with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")

@@ -138,6 +138,7 @@ def test_criterion_03_permutation_invariance():
     def check():
         t0 = time.perf_counter()
         worst = 0.0
+        config = TrainingConfig(alpha=0.3, k=4, s_thre=0.5, num_pooling_layers=3, gamma=0.2)
         for seed in range(50):
             rng = np.random.default_rng(1000 + seed)
             n = int(rng.integers(5, 13))
@@ -156,8 +157,8 @@ def test_criterion_03_permutation_invariance():
                 adj_norm=build_normalized_adjacency(n, p_edges),
             )
             params = init_parameters(4, 6, 2, 3, seed)
-            a = graph_total_loss(graph, params, 0.3, 4, 0.5, 3, 0.2)
-            b = graph_total_loss(permuted, params, 0.3, 4, 0.5, 3, 0.2)
+            a = graph_total_loss(graph, params, config)
+            b = graph_total_loss(permuted, params, config)
             diff = abs(a.l_tot.data[0, 0] - b.l_tot.data[0, 0])
             worst = max(worst, diff)
             counts = lambda tr: [lt.merge.num_supernodes for lt in tr.layers]
@@ -409,10 +410,7 @@ def test_criterion_09_freeze_and_decoupling():
 
         params.zero_grad()
         for graph in train.graphs:
-            losses = graph_total_loss(
-                graph, params, config.alpha, config.k, config.s_thre,
-                config.num_pooling_layers, gamma=0.0,
-            )
+            losses = graph_total_loss(graph, params, config.with_overrides(gamma=0.0))
             ad.backward(losses.l_tot)
         for name, p in params.pooling_items():
             assert np.array_equal(p.grad, np.zeros_like(p.data)), (

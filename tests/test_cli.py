@@ -240,6 +240,36 @@ def test_eval_without_manifest_or_args_exits_1(tmp_path):
     assert main(["eval"]) == 1
 
 
+@pytest.mark.parametrize(
+    "manifest, named",
+    [
+        pytest.param(lambda data: [1], "manifest is not a JSON object", id="list"),
+        pytest.param(
+            lambda data: {"seeds": [0], "dataset": "x"},
+            "manifest dataset is not an object with a string path",
+            id="dataset-string",
+        ),
+        pytest.param(
+            lambda data: {"seeds": 5, "dataset": {"path": data}},
+            "manifest seeds are not a list of integers",
+            id="seeds-integer",
+        ),
+    ],
+)
+def test_eval_malformed_manifest_exits_1(toy_dir, tmp_path, capsys, manifest, named):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest(toy_dir)))
+    assert main(["eval", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err and str(path) in err
+
+
+def test_eval_rejects_config_option(trained, tmp_path, capsys):
+    assert main(["eval", "--out", trained, "--config", str(tmp_path / "absent.cfg")]) == 1
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
 def _without(key):
     def damage(payload):
         del payload[key]
@@ -596,6 +626,11 @@ def test_inspect_trace(toy_dir, cfg_file, capsys):
     for row in trace["layers"]:
         assert row["nodes_out"] <= row["nodes_in"]
         assert len(row["score_histogram"]) == 10
+
+
+def test_inspect_rejects_out_option(toy_dir, tmp_path, capsys):
+    assert main(["inspect", "--dataset", toy_dir, "--out", str(tmp_path / "absent" / "x")]) == 1
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
 
 
 def test_inspect_trace_requires_valid_graph_index(toy_dir, capsys):

@@ -39,10 +39,7 @@ CONFIG = TrainingConfig(
 
 
 def full_tape_loss(graph, params, config):
-    return graph_total_loss(
-        graph, params, config.alpha, config.k, config.s_thre,
-        config.num_pooling_layers, config.gamma,
-    )
+    return graph_total_loss(graph, params, config)
 
 
 def full_tape_maximization_phase(train, params, config, val):

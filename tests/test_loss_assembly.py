@@ -16,6 +16,7 @@ from lgrpool import autodiff as ad
 from lgrpool import cli, pooling, propagation
 from lgrpool.data import Graph, build_normalized_adjacency, emit_tu_dataset
 from lgrpool.model import graph_total_loss, init_parameters
+from lgrpool.training import TrainingConfig
 
 from toydata import make_toy_dataset
 
@@ -34,7 +35,10 @@ def hand_assembly(graph, ps, alpha, k, s_thre, num_layers, gamma):
 
 
 def model_assembly(graph, ps, alpha, k, s_thre, num_layers, gamma):
-    losses = graph_total_loss(graph, ps, alpha, k, s_thre, num_layers, gamma)
+    config = TrainingConfig(
+        alpha=alpha, k=k, s_thre=s_thre, num_pooling_layers=num_layers, gamma=gamma
+    )
+    losses = graph_total_loss(graph, ps, config)
     return losses.l_tot, losses.trace
 
 

@@ -175,7 +175,7 @@ def test_expectation_phase_decreases_loss_on_tiny_set():
             for graph in ds.graphs:
                 from lgrpool.model import graph_expectation_loss
 
-                l = graph_expectation_loss(graph, params, cfg.alpha, cfg.k)
+                l = graph_expectation_loss(graph, params, cfg)
                 total += l.data[0, 0]
             return total / len(ds.graphs)
 
@@ -229,9 +229,7 @@ def test_maximization_phase_zero_gamma_keeps_pooling():
         from lgrpool.model import graph_total_loss
 
         for graph in batch:
-            losses = graph_total_loss(
-                graph, params, cfg.alpha, cfg.k, cfg.s_thre, cfg.num_pooling_layers, cfg.gamma
-            )
+            losses = graph_total_loss(graph, params, cfg)
             ad.backward(losses.l_tot)
     for name, p in params.pooling_items():
         assert np.array_equal(p.grad, np.zeros_like(p.data)), name
