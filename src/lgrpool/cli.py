@@ -54,7 +54,10 @@ def parse_config_file(path: str) -> dict:
             try:
                 values[key] = int(text) if field_types[key] == "int" else float(text)
             except ValueError:
-                raise ValueError(f"config key {key!r}: cannot parse {text!r} as {field_types[key]}")
+                raise ValueError(
+                    f"{path}:{lineno}: config key {key!r}: "
+                    f"cannot parse {text!r} as {field_types[key]}"
+                )
     return values
 
 
@@ -149,7 +152,10 @@ def read_manifest(out_dir):
     if not os.path.isfile(path):
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"manifest is not valid JSON: {path}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ValueError(f"manifest is not a JSON object: {path}")
     dataset = manifest.get("dataset", {"path": ""})
@@ -171,31 +177,26 @@ def default_out_dir(command: str, dataset_name: str, config: TrainingConfig, see
 # ------------------------------------------------------------------ training
 
 
-def _split_for_seed(dataset, seed: int):
-    return split_dataset(dataset, SplitSpec(seed=seed))
+def _fit(dataset, config: TrainingConfig):
+    """One em_train run on the parsed dataset, split by the config's seed;
+    its arguments pickle, so it can run in a separate process. Returns
+    (params, metrics)."""
+    train, val, test = split_dataset(dataset, SplitSpec(seed=config.seed))
+    return training.em_train(train, val, test, config)
 
 
-def _fit(dataset, config: TrainingConfig, **overrides):
-    """One em_train run on the parsed dataset; its arguments pickle, so it
-    can run in a separate process. Returns (config, params, metrics)."""
-    config = config.with_overrides(**overrides)
-    train, val, test = _split_for_seed(dataset, config.seed)
-    params, metrics = training.em_train(train, val, test, config)
-    return config, params, metrics
-
-
-def _train_one_seed(dataset, config: TrainingConfig, seed: int, out_dir: str):
-    config, params, metrics = _fit(dataset, config, seed=seed)
-    training.write_metrics_csv(os.path.join(out_dir, f"metrics_seed{seed}.csv"), metrics)
+def _train_one_seed(dataset, config: TrainingConfig, out_dir: str):
+    params, metrics = _fit(dataset, config)
+    training.write_metrics_csv(os.path.join(out_dir, f"metrics_seed{config.seed}.csv"), metrics)
     training.save_checkpoint(
-        os.path.join(out_dir, f"checkpoint_seed{seed}.json"), params, config
+        os.path.join(out_dir, f"checkpoint_seed{config.seed}.json"), params, config
     )
-    return seed, metrics.test_acc, metrics.wall_clock
+    return config.seed, metrics.test_acc, metrics.wall_clock
 
 
-def _ablate_one(dataset, config: TrainingConfig, gamma: float, seed: int):
-    _, _, metrics = _fit(dataset, config, gamma=gamma, seed=seed)
-    return gamma, seed, metrics.test_acc
+def _ablate_one(dataset, config: TrainingConfig):
+    _, metrics = _fit(dataset, config)
+    return config.gamma, config.seed, metrics.test_acc
 
 
 def _run_jobs(worker, jobs_args, num_jobs: int):
@@ -227,7 +228,7 @@ def cmd_train(args) -> int:
     write_manifest(out_dir, "train", config, dataset.name, dataset_path, seeds)
     results = _run_jobs(
         _train_one_seed,
-        [(dataset, config, seed, out_dir) for seed in seeds],
+        [(dataset, config.with_overrides(seed=seed), out_dir) for seed in seeds],
         args.jobs,
     )
     per_seed = {seed: acc for seed, acc, _ in results}
@@ -254,7 +255,7 @@ def cmd_eval(args) -> int:
         if not os.path.isfile(path):
             raise FileNotFoundError(f"missing checkpoint: {path}")
         config, arrays = training.load_checkpoint(path)
-        _, _, test = _split_for_seed(dataset, seed)
+        _, _, test = split_dataset(dataset, SplitSpec(seed=seed))
         params = training.restore_parameters(dataset, config, arrays)
         per_seed[seed] = training.evaluate(params, test, config)
     print(json.dumps(_summary(per_seed), sort_keys=True))
@@ -272,7 +273,7 @@ def cmd_ablate(args) -> int:
 
     results = _run_jobs(
         _ablate_one,
-        [(dataset, config, g, s) for g in gammas for s in seeds],
+        [(dataset, config.with_overrides(gamma=g, seed=s)) for g in gammas for s in seeds],
         args.jobs,
     )
     rows = []

@@ -192,9 +192,11 @@ _PHASE_NAMES = {"E": "expectation", "M": "maximization"}
 
 
 def _train_phase(phase, train, params, group, opt_state, loss_of, val_acc, config,
-                 em_round, epoch_offset, metrics) -> AdamState:
+                 em_round, metrics) -> AdamState:
     """Mini-batch Adam over one parameter group: the loop both EM phases share.
 
+    Epochs are numbered across phases and rounds: round r's E phase runs
+    epochs 2(r-1)*epochs onwards and its M phase the next ``epochs``.
     ``loss_of(graph)`` returns the loss to step and the named losses to
     report, each averaged over the train set per epoch; ``val_acc()`` gives
     each epoch record's validation accuracy.
@@ -203,8 +205,8 @@ def _train_phase(phase, train, params, group, opt_state, loss_of, val_acc, confi
         raise EmptySplit(f"{_PHASE_NAMES[phase]} phase: empty train split {train.name!r}")
     if opt_state is None:
         opt_state = init_adam(group)
-    for e in range(config.epochs):
-        epoch = epoch_offset + e
+    first = (2 * (em_round - 1) + "EM".index(phase)) * config.epochs
+    for epoch in range(first, first + config.epochs):
         lr = lr_schedule(epoch, config.lr0)
         sums = {}
         for batch in iterate_batches(train, config.batch_size, config.seed, epoch):
@@ -241,7 +243,6 @@ def expectation_phase(
     opt_state: AdamState | None = None,
     val: GraphDataset | None = None,
     em_round: int = 1,
-    epoch_offset: int = 0,
     metrics: RunMetrics | None = None,
 ) -> AdamState:
     """Mini-batch Adam on the classification loss; propagation group only."""
@@ -253,7 +254,7 @@ def expectation_phase(
     return _train_phase(
         "E", train, params, params.propagation_items(), opt_state, loss_of,
         lambda: evaluate(params, val, config) if val is not None else None,
-        config, em_round, epoch_offset, metrics,
+        config, em_round, metrics,
     )
 
 
@@ -262,21 +263,20 @@ def maximization_phase(
     params: ParameterSet,
     config: TrainingConfig,
     opt_state: AdamState | None = None,
-    val: GraphDataset | None = None,
+    val_acc: float | None = None,
     em_round: int = 1,
-    epoch_offset: int = 0,
     metrics: RunMetrics | None = None,
 ):
     """Mini-batch Adam on the total loss; pooling group only.
 
     The classification term carries no pooling gradient, so the update
     signal is gamma times the regularizer. Propagation parameters enter as
-    constants, so backward walks only the pooling tape and validation
-    accuracy, which reads only them, is measured once. Returns the optimizer
-    state and the train-set mean |prediction-correction loss| after the last epoch.
+    constants, so backward walks only the pooling tape. Validation accuracy
+    reads only them, so every M epoch records ``val_acc``, the accuracy the
+    E phase measured last. Returns the optimizer state and the train-set
+    mean |prediction-correction loss| after the last epoch.
     """
     frozen = ParameterSet(prop=params.prop.constants(), pool=params.pool)
-    val_acc = evaluate(params, val, config) if val is not None else None
 
     def loss_of(graph):
         losses = model_mod.graph_total_loss(graph, frozen, config)
@@ -285,17 +285,12 @@ def maximization_phase(
 
     opt_state = _train_phase(
         "M", train, params, params.pooling_items(), opt_state, loss_of, lambda: val_acc,
-        config, em_round, epoch_offset, metrics,
+        config, em_round, metrics,
     )
     return opt_state, mean_precor_error(train, params, config)
 
 
-def em_train(
-    train: GraphDataset,
-    val: GraphDataset,
-    test: GraphDataset,
-    config: TrainingConfig,
-):
+def em_train(train: GraphDataset, val: GraphDataset, test: GraphDataset, config: TrainingConfig):
     """Alternate phases until the pre-correction error settles.
 
     Stops when |err_r - err_{r-1}| / max(1, err_{r-1}) < em_tolerance,
@@ -317,34 +312,20 @@ def em_train(
     metrics = RunMetrics()
 
     prev_err = mean_precor_error(train, params, config)
-    best_val = -1.0
-    best_snapshot = params.snapshot()
+    best_val = -1.0  # below every accuracy, so round 1 always sets best_snapshot
 
     for em_round in range(1, config.em_rounds_max + 1):
-        offset = (em_round - 1) * 2 * config.epochs
         prop_state = expectation_phase(
-            train,
-            params,
-            config,
-            opt_state=prop_state,
-            val=val,
-            em_round=em_round,
-            epoch_offset=offset,
-            metrics=metrics,
+            train, params, config, opt_state=prop_state, val=val, em_round=em_round, metrics=metrics
         )
+        # M leaves theta, all that evaluate reads, unchanged: E's last record is post-round.
+        val_acc = metrics.epochs[-1].val_acc
+        # em_round goes by keyword: the benchmark files pooling counts under it.
         pool_state, err = maximization_phase(
-            train,
-            params,
-            config,
-            opt_state=pool_state,
-            val=val,
-            em_round=em_round,
-            epoch_offset=offset + config.epochs,
+            train, params, config, opt_state=pool_state, val_acc=val_acc, em_round=em_round,
             metrics=metrics,
         )
         metrics.em_errors.append(err)
-        # M leaves theta, all that evaluate reads, unchanged: its record is post-round.
-        val_acc = metrics.epochs[-1].val_acc
         if val_acc > best_val:
             best_val = val_acc
             best_snapshot = params.snapshot()
@@ -432,7 +413,10 @@ def _decode_array(name: str, value, version: int) -> np.ndarray:
 def load_checkpoint(path):
     """Returns (config, parameter arrays by name); other keys are ignored."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"checkpoint is not valid JSON: {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"checkpoint is not a JSON object: {path}")
     version = payload.get("format_version")

@@ -265,6 +265,36 @@ def test_eval_malformed_manifest_exits_1(toy_dir, tmp_path, capsys, manifest, na
     assert named in err and str(path) in err
 
 
+def test_eval_manifest_not_json_names_the_file(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text("{bad")
+    assert main(["eval", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
+def test_eval_checkpoint_not_json_names_the_file(trained, tmp_path, capsys):
+    out = tmp_path / "damaged"
+    shutil.copytree(trained, out)
+    path = out / "checkpoint_seed0.json"
+    path.write_text("{bad")
+    assert main(["eval", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
+def test_unparsable_config_value_names_file_and_line(toy_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("# comment\nepochs = two\n")
+    out = tmp_path / "out"
+    assert main(["train", "--dataset", toy_dir, "--config", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:2: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_eval_rejects_config_option(trained, tmp_path, capsys):
     assert main(["eval", "--out", trained, "--config", str(tmp_path / "absent.cfg")]) == 1
     assert "unrecognized arguments: --config" in capsys.readouterr().err
@@ -512,8 +542,8 @@ def test_worker_empty_split_exits_1_as_serially(cfg_file, tmp_path, capsys):
 
 
 def test_worker_non_finite_reaches_main_and_exits_2(toy_dir, cfg_file, tmp_path, monkeypatch, capsys):
-    def diverging_fit(dataset, config_dict, **overrides):
-        raise NonFinite(f"seed {overrides['seed']} diverged")
+    def diverging_fit(dataset, config):
+        raise NonFinite(f"seed {config.seed} diverged")
 
     # Pool workers are forked after this, so they run the stand-in too.
     monkeypatch.setattr(cli, "_fit", diverging_fit)

@@ -51,7 +51,7 @@ def full_tape_maximization_phase(train, params, config, val):
     opt_state = init_adam(params.pooling_items())
     pool_items = params.pooling_items()
     records, grads = [], []
-    for epoch in range(config.epochs):
+    for epoch in range(config.epochs, 2 * config.epochs):  # round 1's M epochs
         sums = np.zeros(3)
         for batch in iterate_batches(train, config.batch_size, config.seed, epoch):
             params.zero_grad()
@@ -93,7 +93,8 @@ def test_constant_theta_m_phase_is_bitwise_full_tape(monkeypatch):
 
         monkeypatch.setattr(training, "adam_step", recording_adam_step)
         metrics = RunMetrics()
-        _, err = maximization_phase(train, params, cfg, val=val, metrics=metrics)
+        val_acc = evaluate(params, val, cfg)
+        _, err = maximization_phase(train, params, cfg, val_acc=val_acc, metrics=metrics)
         monkeypatch.undo()
 
         assert err == want_err

@@ -7,9 +7,9 @@ import pytest
 from lgrpool import autodiff as ad
 from lgrpool import training
 from lgrpool.cli import load_config
-from lgrpool.data import Graph, GraphDataset, build_normalized_adjacency
+from lgrpool.data import Graph, GraphDataset, build_normalized_adjacency, iterate_batches
 from lgrpool.errors import EmptySplit
-from lgrpool.model import init_parameters
+from lgrpool.model import ParameterSet, graph_expectation_loss, graph_total_loss, init_parameters
 from lgrpool.training import (
     AdamState,
     TrainingConfig,
@@ -314,13 +314,108 @@ def test_em_train_keeps_best_round_without_reevaluating(monkeypatch):
     monkeypatch.setattr(training, "maximization_phase", recording_maximization_phase)
     params, metrics = em_train(train, val, test, cfg)
     assert len(metrics.em_errors) == 3
-    # Once per E epoch and once per M phase on val, once on test at the end.
-    assert calls.count(val.name) == 3 * (cfg.epochs + 1)
+    # Once per E epoch on val, once on test at the end.
+    assert calls.count(val.name) == 3 * cfg.epochs
     assert calls.count(test.name) == 1
     # The last round read the highest accuracy, so its parameters are kept.
     assert not np.array_equal(after_m[0]["prop.w1"], after_m[-1]["prop.w1"])
     for name, arr in params.snapshot().items():
         assert np.array_equal(arr, after_m[-1][name]), name
+
+
+def offset_em_train(train, val, test, config):
+    """Oracle: the round loop with each phase's first epoch passed in and a
+    validation pass at the start of every M phase, from public pieces only.
+
+    Returns (params, epoch records as tuples, em_errors, test_acc).
+    """
+    params = init_parameters(
+        train.feature_dim, config.hidden, train.num_classes, config.num_pooling_layers, config.seed
+    )
+    prop_items, pool_items = params.propagation_items(), params.pooling_items()
+    prop_state, pool_state = init_adam(prop_items), init_adam(pool_items)
+    n = len(train.graphs)
+    records, em_errors = [], []
+    prev_err = mean_precor_error(train, params, config)
+    best_val, best = -1.0, params.snapshot()
+    for em_round in range(1, config.em_rounds_max + 1):
+        e_offset = (em_round - 1) * 2 * config.epochs
+        for epoch in range(e_offset, e_offset + config.epochs):
+            l_exp = 0.0
+            for batch in iterate_batches(train, config.batch_size, config.seed, epoch):
+                params.zero_grad()
+                for graph in batch:
+                    loss = graph_expectation_loss(graph, params, config)
+                    l_exp += loss.data[0, 0]
+                    ad.backward(ad.scale(loss, 1.0 / len(batch)))
+                adam_step(prop_items, prop_state, lr_schedule(epoch, config.lr0), config)
+            val_acc = evaluate(params, val, config)
+            records.append((epoch, "E", em_round, l_exp / n, None, None, val_acc))
+
+        val_acc = evaluate(params, val, config)
+        frozen = ParameterSet(prop=params.prop.constants(), pool=params.pool)
+        m_offset = e_offset + config.epochs
+        for epoch in range(m_offset, m_offset + config.epochs):
+            l_exp = l_precor = l_tot = 0.0
+            for batch in iterate_batches(train, config.batch_size, config.seed, epoch):
+                params.zero_grad()
+                for graph in batch:
+                    losses = graph_total_loss(graph, frozen, config)
+                    l_exp += losses.l_exp.data[0, 0]
+                    l_precor += losses.l_precor.data[0, 0]
+                    l_tot += losses.l_tot.data[0, 0]
+                    ad.backward(ad.scale(losses.l_tot, 1.0 / len(batch)))
+                adam_step(pool_items, pool_state, lr_schedule(epoch, config.lr0), config)
+            records.append((epoch, "M", em_round, l_exp / n, l_precor / n, l_tot / n, val_acc))
+        err = mean_precor_error(train, params, config)
+        em_errors.append(err)
+        if val_acc > best_val:
+            best_val, best = val_acc, params.snapshot()
+        if abs(err - prev_err) / max(1.0, prev_err) < config.em_tolerance:
+            break
+        prev_err = err
+    params.load_snapshot(best)
+    return params, records, em_errors, evaluate(params, test, config)
+
+
+def test_em_train_matches_offset_driver_bitwise():
+    train, val, test = toy_splits()
+    # 2 rounds of 3-epoch phases run epochs 0-11, across the decay at epoch 10.
+    cfg = TOY_CONFIG.with_overrides(epochs=3, em_rounds_max=2, em_tolerance=1e-12)
+    want_params, want_records, want_errors, want_test = offset_em_train(train, val, test, cfg)
+    params, metrics = em_train(train, val, test, cfg)
+
+    records = [
+        (r.epoch, r.phase, r.em_round, r.l_exp, r.l_precor, r.l_tot, r.val_acc) for r in metrics.epochs
+    ]
+    assert records == want_records
+    assert [r[0] for r in records] == list(range(12))
+    assert metrics.em_errors == want_errors
+    assert metrics.test_acc == want_test
+    want = want_params.snapshot()
+    for name, arr in params.snapshot().items():
+        assert np.array_equal(arr, want[name]), name
+    for em_round in (1, 2):
+        e_acc = [r.val_acc for r in metrics.epochs if r.em_round == em_round and r.phase == "E"]
+        m_acc = [r.val_acc for r in metrics.epochs if r.em_round == em_round and r.phase == "M"]
+        assert m_acc == [e_acc[-1]] * cfg.epochs
+
+
+def test_em_train_passes_em_round_to_maximization_by_keyword(monkeypatch):
+    # The benchmark reads kwargs["em_round"] to file each round's pooling
+    # counts; a positional em_round would file them all under round 1.
+    train, val, test = toy_splits()
+    rounds = []
+    real_maximization_phase = training.maximization_phase
+
+    def recording_maximization_phase(*args, **kwargs):
+        rounds.append(kwargs.get("em_round"))
+        return real_maximization_phase(*args, **kwargs)
+
+    monkeypatch.setattr(training, "maximization_phase", recording_maximization_phase)
+    _, metrics = em_train(train, val, test, TOY_CONFIG.with_overrides(em_rounds_max=3))
+    assert len(metrics.em_errors) == 3
+    assert rounds == [1, 2, 3]
 
 
 @pytest.mark.parametrize("phase", [expectation_phase, maximization_phase, mean_precor_error])
