@@ -164,6 +164,8 @@ def read_manifest(out_dir):
     seeds = manifest.get("seeds", [])
     if not (isinstance(seeds, list) and all(type(seed) is int for seed in seeds)):
         raise ValueError(f"manifest seeds are not a list of integers: {path}")
+    if min(seeds, default=0) < 0 or len(set(seeds)) != len(seeds):
+        raise ValueError(f"manifest seeds must be non-negative and distinct: {path}")
     return manifest
 
 
@@ -410,24 +412,26 @@ def full_loss_target(eps: float):
     raise RuntimeError("no admissible gradcheck fixture found")
 
 
+def _gradcheck_targets(eps: float, inject_fault: bool = False):
+    """(label, builder, params) for every primitive, then for each block of
+    the full loss. Lazy, so grad_check rejects a bad eps on the first
+    primitive before the full-loss fixture search runs with that eps."""
+    for name, builder, params in primitive_targets(inject_fault=inject_fault):
+        yield f"primitive {name}", builder, params
+    loss, params_set = full_loss_target(eps)
+    for block, value in params_set.items():
+        yield f"l_tot {block}", lambda _ps: loss(params_set), {block: value}
+
+
 def run_gradcheck(eps: float, inject_fault: bool = False, stream=None) -> int:
     stream = stream or sys.stdout
     failed = []
-    for name, builder, params in primitive_targets(inject_fault=inject_fault):
+    for label, builder, params in _gradcheck_targets(eps, inject_fault):
         err = ad.grad_check(builder, params, eps=eps)
         status = "ok" if err <= GRADCHECK_TOLERANCE else "FAIL"
-        print(f"primitive {name}: max_rel_err={err:.3e} {status}", file=stream)
+        print(f"{label}: max_rel_err={err:.3e} {status}", file=stream)
         if err > GRADCHECK_TOLERANCE:
-            failed.append(name)
-
-    builder, params_set = full_loss_target(eps)
-    for block_name, value in params_set.items():
-        err = ad.grad_check(lambda _ps: builder(params_set), {block_name: value}, eps=eps)
-        status = "ok" if err <= GRADCHECK_TOLERANCE else "FAIL"
-        print(f"l_tot {block_name}: max_rel_err={err:.3e} {status}", file=stream)
-        if err > GRADCHECK_TOLERANCE:
-            failed.append(f"l_tot {block_name}")
-
+            failed.append(label.removeprefix("primitive "))
     if failed:
         print("gradcheck failed: " + ", ".join(failed), file=stream)
         return 3

@@ -254,6 +254,16 @@ def test_eval_without_manifest_or_args_exits_1(tmp_path):
             "manifest seeds are not a list of integers",
             id="seeds-integer",
         ),
+        pytest.param(
+            lambda data: {"seeds": [-1], "dataset": {"path": data}},
+            "manifest seeds must be non-negative and distinct",
+            id="seeds-negative",
+        ),
+        pytest.param(
+            lambda data: {"seeds": [0, 0], "dataset": {"path": data}},
+            "manifest seeds must be non-negative and distinct",
+            id="seeds-repeated",
+        ),
     ],
 )
 def test_eval_malformed_manifest_exits_1(toy_dir, tmp_path, capsys, manifest, named):
@@ -626,6 +636,15 @@ def test_gradcheck_passes(capsys):
 def test_gradcheck_detects_injected_fault(capsys):
     assert main(["gradcheck", "--inject-fault"]) == 3
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_gradcheck_prints_every_target_in_order(capsys):
+    assert main(["gradcheck"]) == 0
+    labels = [line.split(": max_rel_err=")[0] for line in capsys.readouterr().out.splitlines()]
+    primitives = [f"primitive {name}" for name, _, _ in cli.primitive_targets()]
+    blocks = [f"l_tot {name}" for name, _ in cli.full_loss_target(1e-6)[1].items()]
+    assert len(primitives) == 17
+    assert labels == primitives + blocks + ["gradcheck passed"]
 
 
 def test_gradcheck_eps_bounds(capsys):

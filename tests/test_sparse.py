@@ -54,60 +54,31 @@ def test_transpose_matmul_dense_matches_dense_product():
     assert np.abs(s.transpose_matmul_dense(g) - s.to_dense().T @ g).max() <= 1e-12
 
 
-def test_validation_rejects_bad_indptr():
-    with pytest.raises(ValueError):
-        SparseMatrix(indptr=[0, 2], indices=[0], data=[1.0], shape=(1, 2))
-    with pytest.raises(ValueError):
-        SparseMatrix(indptr=[0, 2, 1], indices=[0, 1], data=[1.0, 1.0], shape=(2, 2))
+def test_from_coo_is_canonical_on_shuffled_duplicates():
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+        count = int(rng.integers(0, 3 * n * m // 4 + 1))
+        rows = rng.integers(0, n, size=count)
+        cols = rng.integers(0, m, size=count)
+        vals = rng.uniform(0.5, 2.0, size=count)
+        s = SparseMatrix.from_coo(rows, cols, vals, (n, m))
+        dense = np.zeros((n, m))
+        np.add.at(dense, (rows, cols), vals)
+        assert s._csr.has_canonical_format
+        assert s.shape == (n, m)
+        assert s.nnz == len(set(zip(rows.tolist(), cols.tolist())))
+        np.testing.assert_allclose(s.to_dense(), dense, rtol=1e-15, atol=0)
 
 
-def test_validation_rejects_unsorted_or_out_of_range_columns():
-    with pytest.raises(ValueError):
-        SparseMatrix(indptr=[0, 2], indices=[1, 0], data=[1.0, 1.0], shape=(1, 2))
-    with pytest.raises(ValueError):
-        SparseMatrix(indptr=[0, 1], indices=[5], data=[1.0], shape=(1, 2))
-
-
-def test_validation_allows_descent_across_row_boundary():
-    m = SparseMatrix(indptr=[0, 2, 4], indices=[1, 3, 0, 2], data=[1.0] * 4, shape=(2, 4))
-    assert np.array_equal(m.to_dense(), [[0, 1, 0, 1], [1, 0, 1, 0]])
-
-
-def test_validation_accepts_empty_rows():
-    m = SparseMatrix(indptr=[0, 0, 2, 2, 3, 3], indices=[1, 2, 0], data=[1.0, 2.0, 3.0], shape=(5, 3))
+def test_from_coo_keeps_empty_rows():
+    m = SparseMatrix.from_coo([3, 1, 1], [0, 2, 1], [3.0, 2.0, 1.0], (5, 3))
     assert m.to_dense().sum(axis=1).tolist() == [0.0, 3.0, 0.0, 3.0, 0.0]
-    assert SparseMatrix(indptr=[0, 0, 0], indices=[], data=[], shape=(2, 2)).nnz == 0
+    empty = SparseMatrix.from_coo([], [], [], (2, 2))
+    assert empty.nnz == 0 and not empty.to_dense().any()
 
 
-def test_validation_names_first_unsorted_row():
-    # Row 2 descends, row 4 repeats a column; the message names row 2.
-    with pytest.raises(ValueError, match=r"not strictly sorted in row 2$"):
-        SparseMatrix(
-            indptr=[0, 1, 1, 3, 3, 5], indices=[2, 2, 0, 1, 1], data=[1.0] * 5, shape=(5, 3)
-        )
-    with pytest.raises(ValueError, match=r"not strictly sorted in row 1$"):
-        SparseMatrix(indptr=[0, 0, 2], indices=[1, 1], data=[1.0, 1.0], shape=(2, 2))
-
-
-def test_validation_sort_check_matches_row_loop():
-    """The vectorized check accepts and rejects exactly what a per-row loop does."""
-    rng = np.random.default_rng(4)
-    for _ in range(300):
-        n_rows, n_cols = int(rng.integers(1, 7)), int(rng.integers(1, 6))
-        lengths = rng.integers(0, n_cols + 1, size=n_rows)
-        indptr = np.concatenate([[0], np.cumsum(lengths)])
-        indices = np.concatenate(
-            [np.sort(rng.choice(n_cols, size=k, replace=False)) for k in lengths]
-        ).astype(np.int64)
-        if len(indices) and rng.random() < 0.7:
-            pos = rng.integers(0, len(indices), size=int(rng.integers(1, 3)))
-            indices[pos] = rng.integers(0, n_cols, size=len(pos))
-        bad_rows = [
-            r for r in range(n_rows) if np.any(np.diff(indices[indptr[r] : indptr[r + 1]]) <= 0)
-        ]
-        args = dict(indptr=indptr, indices=indices, data=np.ones(len(indices)), shape=(n_rows, n_cols))
-        if bad_rows:
-            with pytest.raises(ValueError, match=rf"in row {bad_rows[0]}$"):
-                SparseMatrix(**args)
-        else:
-            SparseMatrix(**args)
+@pytest.mark.parametrize("rows, cols", [([0, -1], [1, 0]), ([0, 2], [1, 0]), ([0, 1], [1, 2])])
+def test_from_coo_rejects_index_outside_shape(rows, cols):
+    with pytest.raises(ValueError):
+        SparseMatrix.from_coo(rows, cols, [1.0, 1.0], (2, 2))
