@@ -326,8 +326,6 @@ def iterate_batches(ds: GraphDataset, batch_size: int, seed: int, epoch: int):
     Every graph appears exactly once per epoch; the last batch may be
     smaller than batch_size.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
     rng = np.random.default_rng([seed, epoch])
     order = rng.permutation(len(ds.graphs))
     for start in range(0, len(order), batch_size):

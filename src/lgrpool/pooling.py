@@ -20,7 +20,6 @@ from . import autodiff as ad
 from .autodiff import Value
 # Not called here: perfbench's layer trace wraps this name and fails when it is missing.
 from .data import build_normalized_adjacency  # noqa: F401
-from .errors import ShapeMismatch
 
 GATE_FLOOR = 1e-6
 SPREAD_CLAMP = 10.0
@@ -133,8 +132,6 @@ def score_edges(z: Value, edges, layer: PoolLayerParams) -> Value:
     endpoint first and summed in that fixed order, so the score does not
     depend on how the edge was written down.
     """
-    if z.data.shape[1] != layer.w.data.shape[0]:
-        raise ShapeMismatch("score_edges", z.data.shape, layer.w.data.shape)
     ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     h = layer.w.data.shape[1]
     p = ad.matmul(z, layer.w)
@@ -155,8 +152,6 @@ def normalize_scores(
     with no surviving edge contribute all-zero entries, never a division
     by zero. The threshold indicator is constant under differentiation.
     """
-    if not (0.0 < s_thre < 1.0):
-        raise ValueError(f"s_thre must lie in (0, 1), got {s_thre}")
     ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     surviving = scores.data.ravel() >= s_thre
     counts = np.bincount(ends[surviving].ravel(), minlength=num_nodes)
@@ -279,8 +274,6 @@ def prediction_correction_loss(
     distance is clamped at SPREAD_CLAMP before negation so the loss
     stays bounded below.
     """
-    if z_cor.data.shape[1] != z_pre.data.shape[1]:
-        raise ShapeMismatch("prediction_correction_loss", z_cor.data.shape, z_pre.data.shape)
     aligned = ad.gather_rows(z_cor, composed_map)
     align_term = ad.sum_all(ad.sum_sq_rows(ad.sub(aligned, z_pre)))
     pairs = np.asarray(coarse_edges, dtype=np.int64).reshape(-1, 2)
@@ -294,6 +287,4 @@ def prediction_correction_loss(
 
 def total_loss(l_exp: Value, l_precor: Value, gamma: float) -> Value:
     """Classification loss plus gamma times the regularizer."""
-    if gamma < 0:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
     return ad.add(l_exp, ad.scale(l_precor, gamma))

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value
-from .errors import LabelOutOfRange, ShapeMismatch, SingularMatrix
+from .errors import SingularMatrix
 from .sparse import SparseMatrix
 
 
@@ -69,8 +69,6 @@ def init_propagation_params(
 
 def mlp_forward(x: Value, params: PropagationParams) -> Value:
     """Row-wise two-layer MLP with relu; no neighbor mixing."""
-    if x.data.shape[1] != params.w1.data.shape[0]:
-        raise ShapeMismatch("mlp_forward", x.data.shape, params.w1.data.shape)
     h = ad.relu(ad.add(ad.matmul(x, params.w1), params.b1))
     return ad.add(ad.matmul(h, params.w2), params.b2)
 
@@ -79,12 +77,8 @@ def ppr_propagate(adj_norm: SparseMatrix, h: Value, alpha: float, k: int) -> Val
     """k fixed-point iterations Z <- (1-alpha) A Z + alpha H, from Z = H.
 
     Returns the pre-softmax propagated matrix; the softmax lives on the
-    classification path only.
+    classification path only. TrainingConfig has checked alpha and k.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
     return ad.ppr(adj_norm, h, alpha, k)
 
 
@@ -105,8 +99,6 @@ def ppr_closed_form(adj_dense: np.ndarray, h: np.ndarray, alpha: float) -> np.nd
 
 def classify(z_pre: Value, wc: Value, bc: Value):
     """Per-node class probabilities and their mean as the graph prediction."""
-    if z_pre.data.shape[1] != wc.data.shape[0]:
-        raise ShapeMismatch("classify", z_pre.data.shape, wc.data.shape)
     probs = ad.softmax_rows(ad.add(ad.matmul(z_pre, wc), bc))
     y_pred = ad.mean_rows(probs)
     return probs, y_pred
@@ -114,9 +106,6 @@ def classify(z_pre: Value, wc: Value, bc: Value):
 
 def expectation_loss(y_pred: Value, y_true: int) -> Value:
     """Cross-entropy of the mean-pooled prediction against the graph label."""
-    num_classes = y_pred.data.shape[1]
-    if not (0 <= y_true < num_classes):
-        raise LabelOutOfRange(f"label {y_true} outside [0, {num_classes})")
     return ad.cross_entropy_rows(y_pred, [y_true])
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model as model_mod
 from .data import GraphDataset, iterate_batches
-from .errors import EmptySplit, NonFinite, ShapeMismatch
+from .errors import EmptySplit, NonFinite
 from .model import ParameterSet, init_parameters
 from .propagation import propagate_graph
 
@@ -125,8 +125,6 @@ def adam_step(named_params, state: AdamState, lr: float, config: TrainingConfig)
         g = p.grad
         m = state.m[name]
         v = state.v[name]
-        if m.shape != p.data.shape:
-            raise ShapeMismatch("adam_step", m.shape, p.data.shape)
         m *= config.beta1
         m += (1.0 - config.beta1) * g
         v *= config.beta2
@@ -209,30 +207,31 @@ def _train_phase(phase, train, params, group, opt_state, loss_of, val_acc, confi
     for epoch in range(first, first + config.epochs):
         lr = lr_schedule(epoch, config.lr0)
         sums = {}
-        for batch in iterate_batches(train, config.batch_size, config.seed, epoch):
-            params.zero_grad()
-            for graph in batch:
-                try:
+        # One try per epoch: divergence can first show in the record's val_acc().
+        try:
+            for batch in iterate_batches(train, config.batch_size, config.seed, epoch):
+                params.zero_grad()
+                for graph in batch:
                     loss, reported = loss_of(graph)
                     for name, value in reported.items():
                         sums[name] = sums.get(name, 0.0) + value.data[0, 0]
                     ad.backward(ad.scale(loss, 1.0 / len(batch)))
-                except NonFinite as exc:
-                    raise NonFinite(
-                        f"{_PHASE_NAMES[phase]} phase, round {em_round}, epoch {epoch}: {exc}"
-                    ) from exc
-            adam_step(group, opt_state, lr, config)
-        if metrics is not None:
-            n = len(train.graphs)
-            metrics.epochs.append(
-                EpochRecord(
-                    epoch=epoch,
-                    phase=phase,
-                    em_round=em_round,
-                    val_acc=val_acc(),
-                    **{name: total / n for name, total in sums.items()},
+                adam_step(group, opt_state, lr, config)
+            if metrics is not None:
+                n = len(train.graphs)
+                metrics.epochs.append(
+                    EpochRecord(
+                        epoch=epoch,
+                        phase=phase,
+                        em_round=em_round,
+                        val_acc=val_acc(),
+                        **{name: total / n for name, total in sums.items()},
+                    )
                 )
-            )
+        except NonFinite as exc:
+            raise NonFinite(
+                f"{_PHASE_NAMES[phase]} phase, round {em_round}, epoch {epoch}: {exc}"
+            ) from exc
     return opt_state
 
 

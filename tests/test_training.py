@@ -59,10 +59,14 @@ def test_config_validation():
     for bad in (
         dict(batch_size=0),
         dict(epochs=-1),
+        dict(k=0),
         dict(alpha=0.0),
+        dict(alpha=-0.1),
         dict(alpha=1.2),
         dict(gamma=-0.1),
+        dict(s_thre=0.0),
         dict(s_thre=1.0),
+        dict(s_thre=1.5),
         dict(lr0=0.0),
         dict(em_tolerance=0.0),
         dict(beta1=1.0),
