@@ -88,11 +88,6 @@ def _make(op: str, data: np.ndarray, parents) -> Value:
     return out
 
 
-def _check_same_shape(op: str, a: Value, b: Value):
-    if a.data.shape != b.data.shape:
-        raise ShapeMismatch(op, a.data.shape, b.data.shape)
-
-
 # ---------------------------------------------------------------- primitives
 
 
@@ -158,25 +153,14 @@ def add(a: Value, b: Value) -> Value:
 
 
 def sub(a: Value, b: Value) -> Value:
-    _check_same_shape("sub", a, b)
+    if a.data.shape != b.data.shape:
+        raise ShapeMismatch("sub", a.data.shape, b.data.shape)
     return _make("sub", a.data - b.data, [(a, lambda g: g), (b, lambda g: -g)])
 
 
 def scale(a: Value, c: float) -> Value:
     c = float(c)
     return _make("scale", a.data * c, [(a, lambda g, c=c: g * c)])
-
-
-def hadamard(a: Value, b: Value) -> Value:
-    _check_same_shape("hadamard", a, b)
-    return _make(
-        "hadamard",
-        a.data * b.data,
-        [
-            (a, lambda g, b=b: g * b.data),
-            (b, lambda g, a=a: g * a.data),
-        ],
-    )
 
 
 def scale_rows(a: Value, s: Value) -> Value:

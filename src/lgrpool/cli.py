@@ -166,10 +166,13 @@ def read_manifest(out_dir):
     return manifest
 
 
-def default_out_dir(command: str, dataset_name: str, config: TrainingConfig, seeds) -> str:
-    tag = hashlib.sha256(
-        json.dumps([command, dataset_name, config.to_dict(), list(seeds)], sort_keys=True).encode()
-    ).hexdigest()[:8]
+def default_out_dir(command: str, dataset_name: str, config: TrainingConfig, seeds, gammas=None) -> str:
+    """runs/<command>-<dataset>-<tag>, the tag hashing the command, the
+    dataset name, the config, the seeds and, for ablate, the gamma grid."""
+    key = [command, dataset_name, config.to_dict(), list(seeds)]
+    if gammas is not None:
+        key.append(list(gammas))
+    tag = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()[:8]
     return os.path.join("runs", f"{command}-{dataset_name}-{tag}")
 
 
@@ -179,9 +182,12 @@ def default_out_dir(command: str, dataset_name: str, config: TrainingConfig, see
 def _fit(dataset, config: TrainingConfig):
     """One em_train run on the parsed dataset, split by the config's seed;
     its arguments pickle, so it can run in a separate process. Returns
-    (params, metrics)."""
+    (params, metrics). numpy's overflow and invalid-value warnings are off:
+    a non-finite value raises NonFinite, which names the op, so a diverging
+    job prints one line, serially and in a worker alike."""
     train, val, test = split_dataset(dataset, SplitSpec(seed=config.seed))
-    return training.em_train(train, val, test, config)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return training.em_train(train, val, test, config)
 
 
 def _train_one_seed(dataset, config: TrainingConfig, out_dir: str):
@@ -268,7 +274,7 @@ def cmd_ablate(args) -> int:
     # Building the job configs checks every gamma before the dataset is read.
     job_configs = [config.with_overrides(gamma=g, seed=s) for g in gammas for s in seeds]
     dataset, dataset_path = _load_dataset(args.dataset)
-    out_dir = args.out or default_out_dir("ablate", dataset.name, config, seeds)
+    out_dir = args.out or default_out_dir("ablate", dataset.name, config, seeds, gammas)
     os.makedirs(out_dir, exist_ok=True)
     write_manifest(out_dir, "ablate", config, dataset.name, dataset_path, seeds)
 
@@ -343,14 +349,14 @@ def primitive_targets(inject_fault: bool = False):
     t("add_row_broadcast", lambda ps: ad.sum_all(ad.add(ps["a"], ps["b"])), {"a": p((3, 4)), "b": p((1, 4))})
     t("sub", lambda ps: ad.sum_all(ad.sub(ps["a"], ps["b"])), {"a": p((3, 4)), "b": p((3, 4))})
     t("scale", lambda ps: ad.sum_all(ad.scale(ps["a"], -1.7)), {"a": p((3, 4))})
-    t("hadamard", lambda ps: ad.sum_all(ad.hadamard(ps["a"], ps["b"])), {"a": p((3, 4)), "b": p((3, 4))})
     t("scale_rows", lambda ps: ad.sum_all(ad.scale_rows(ps["a"], ps["s"])), {"a": p((3, 4)), "s": p((3, 1))})
     sig = _sigmoid_wrong_derivative if inject_fault else ad.sigmoid
     t("sigmoid", lambda ps: ad.sum_all(ad.sum_sq_rows(sig(ps["a"]))), {"a": p((3, 4))})
     t("relu", lambda ps: ad.sum_all(ad.sum_sq_rows(ad.relu(ps["a"]))), {"a": p((3, 4), away_from_zero=True)})
     t("softmax_rows", lambda ps: ad.sum_all(ad.sum_sq_rows(ad.softmax_rows(ps["a"]))), {"a": p((3, 4))})
     t("mean_rows", lambda ps: ad.sum_all(ad.sum_sq_rows(ad.mean_rows(ps["a"]))), {"a": p((3, 4))})
-    t("sum_all", lambda ps: ad.sum_all(ad.hadamard(ps["a"], ps["a"])), {"a": p((3, 4))})
+    # The inner sum_all is under test: its upstream gradient is 2 * sum(a), not a constant 1.
+    t("sum_all", lambda ps: ad.sum_all(ad.sum_sq_rows(ad.sum_all(ps["a"]))), {"a": p((3, 4))})
     t("sum_sq_rows", lambda ps: ad.sum_all(ad.sum_sq_rows(ps["a"])), {"a": p((3, 4))})
     t("gather_rows", lambda ps: ad.sum_all(ad.sum_sq_rows(ad.gather_rows(ps["a"], [2, 0, 2, 1]))), {"a": p((3, 4))})
     t("scatter_add_rows", lambda ps: ad.sum_all(ad.sum_sq_rows(ad.scatter_add_rows(ps["a"], [1, 0, 1, 2], 3))), {"a": p((4, 3))})

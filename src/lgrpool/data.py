@@ -24,6 +24,8 @@ import numpy as np
 from .errors import EmptySplit, ParseError
 from .sparse import SparseMatrix
 
+SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
+
 
 def build_normalized_adjacency(num_nodes: int, edges) -> SparseMatrix:
     """Symmetric normalized adjacency with self-loops.
@@ -94,10 +96,9 @@ class GraphDataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Deterministic train/val/test partition request."""
+    """Deterministic train/val/test partition request, in SPLIT_FRACTIONS."""
 
     seed: int
-    fractions: tuple = (0.8, 0.1, 0.1)
 
 
 def _line_of(path: str, row: int) -> int:
@@ -291,12 +292,9 @@ def split_dataset(ds: GraphDataset, spec: SplitSpec):
     the train part; on violation the shuffle is retried with an
     incremented seed, at most 100 times.
     """
-    fr = spec.fractions
-    if len(fr) != 3 or abs(sum(fr) - 1.0) > 1e-9:
-        raise EmptySplit(f"fractions must sum to 1, got {fr}")
     n = len(ds.graphs)
-    b1 = int(np.floor(n * fr[0]))
-    b2 = int(np.floor(n * (fr[0] + fr[1])))
+    b1 = int(np.floor(n * SPLIT_FRACTIONS[0]))
+    b2 = int(np.floor(n * (SPLIT_FRACTIONS[0] + SPLIT_FRACTIONS[1])))
     sizes = (b1, b2 - b1, n - b2)
     if min(sizes) == 0:
         raise EmptySplit(f"split sizes {sizes} contain an empty part")

@@ -26,13 +26,7 @@ class ParameterSet:
     pool: PoolingParams
 
     def items(self):
-        return self.propagation_items() + self.pooling_items()
-
-    def propagation_items(self):
-        return self.prop.items()
-
-    def pooling_items(self):
-        return self.pool.items()
+        return self.prop.items() + self.pool.items()
 
     def zero_grad(self) -> None:
         for _, value in self.items():

@@ -93,7 +93,7 @@ class LayerTrace:
     scores: Value
     norm: NormalizedScores
     merge: MergeMap
-    coarse_edges: list
+    coarse_edges: np.ndarray
     coarse_z: Value
 
 
@@ -158,8 +158,8 @@ def normalize_scores(
     coeff = np.divide(1.0, counts[ends], out=np.zeros(ends.shape), where=surviving[:, None])
 
     return NormalizedScores(
-        at_i=ad.hadamard(scores, ad.constant(coeff[:, :1])),
-        at_j=ad.hadamard(scores, ad.constant(coeff[:, 1:])),
+        at_i=ad.scale_rows(scores, ad.constant(coeff[:, :1])),
+        at_j=ad.scale_rows(scores, ad.constant(coeff[:, 1:])),
         surviving=surviving,
         counts=counts,
     )
@@ -196,7 +196,8 @@ def contract_graph(
     directed normalized scores, floored at GATE_FLOOR for nodes with no
     surviving edge so singleton supernodes keep a live feature path.
     Coarse edges are the deduplicated images of fine edges between
-    distinct supernodes.
+    distinct supernodes: an (E', 2) int64 array of lo < hi rows in
+    lexicographic order.
     """
     ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     merge = _components(num_nodes, ends[norm.surviving])
@@ -213,9 +214,7 @@ def contract_graph(
 
     images = merge.assignment[ends]
     images = np.sort(images[images[:, 0] != images[:, 1]], axis=1)
-    lo, hi = np.unique(images, axis=0).T.tolist()
-    coarse_edges = list(zip(lo, hi))
-    return coarse_z, coarse_edges, merge
+    return coarse_z, np.unique(images, axis=0), merge
 
 
 def hierarchical_pool(
@@ -228,13 +227,12 @@ def hierarchical_pool(
     trace of depth 0 returns z_input untouched.
     """
     n_cur = graph.num_nodes
-    edges_cur = graph.edges
+    ends = np.asarray(graph.edges, dtype=np.int64).reshape(-1, 2)
     z_cur = z_input
     layers = []
     composed = np.arange(graph.num_nodes, dtype=np.int64)
 
     for level in range(num_layers):
-        ends = np.asarray(edges_cur, dtype=np.int64).reshape(-1, 2)
         if n_cur <= 2 or not len(ends):
             break
         scores = score_edges(z_cur, ends, params.layers[level])
@@ -253,7 +251,7 @@ def hierarchical_pool(
         )
         composed = merge.assignment[composed]
         n_cur = merge.num_supernodes
-        edges_cur = coarse_edges
+        ends = coarse_edges
         z_cur = coarse_z
 
     return PoolingTrace(layers=layers, composed_map=composed, z_cor=z_cur)

@@ -251,7 +251,7 @@ def expectation_phase(
         return l_exp, {"l_exp": l_exp}
 
     return _train_phase(
-        "E", train, params, params.propagation_items(), opt_state, loss_of,
+        "E", train, params, params.prop.items(), opt_state, loss_of,
         lambda: evaluate(params, val, config) if val is not None else None,
         config, em_round, metrics,
     )
@@ -283,7 +283,7 @@ def maximization_phase(
         return losses.l_tot, reported
 
     opt_state = _train_phase(
-        "M", train, params, params.pooling_items(), opt_state, loss_of, lambda: val_acc,
+        "M", train, params, params.pool.items(), opt_state, loss_of, lambda: val_acc,
         config, em_round, metrics,
     )
     return opt_state, mean_precor_error(train, params, config)

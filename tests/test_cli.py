@@ -2,6 +2,8 @@ import base64
 import json
 import os
 import shutil
+import sys
+import warnings
 from concurrent.futures import Future
 
 import numpy as np
@@ -467,11 +469,11 @@ def test_train_and_ablate_parse_the_dataset_once(toy_dir, tmp_path, monkeypatch,
     assert len(calls) == 2
 
 
-def _train_artifacts(toy_dir, cfg, out, jobs, capsys):
+def _train_artifacts(toy_dir, cfg, out, jobs, capfd):
     rc = main(
         ["train", "--dataset", toy_dir, "--config", cfg, "--seeds", "0,1", "--out", out, "--jobs", jobs]
     )
-    err = capsys.readouterr().err
+    err = capfd.readouterr().err
     blobs = {}
     for seed in (0, 1):
         for name in (f"metrics_seed{seed}.csv", f"checkpoint_seed{seed}.json"):
@@ -481,33 +483,47 @@ def _train_artifacts(toy_dir, cfg, out, jobs, capsys):
     return rc, err, blobs
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_pooled_training_matches_serial(toy_dir, cfg_file, tmp_path, capsys):
-    serial = _train_artifacts(toy_dir, cfg_file, str(tmp_path / "serial"), "1", capsys)
-    pooled = _train_artifacts(toy_dir, cfg_file, str(tmp_path / "pooled"), "2", capsys)
+# capfd, unlike capsys, also sees what forked pool workers write to stderr.
+DIVERGED = "aborted on non-finite loss: expectation phase, round 1, epoch 0: matmul: non-finite forward output\n"
+
+
+@pytest.fixture
+def printed_warnings(monkeypatch):
+    """Warnings go to stderr as in a plain interpreter, where pytest would
+    record them instead; forked pool workers inherit the printer."""
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    monkeypatch.setattr(warnings, "showwarning", show)
+    warnings.simplefilter("always")
+
+
+def test_pooled_training_matches_serial(toy_dir, cfg_file, tmp_path, capfd, printed_warnings):
+    serial = _train_artifacts(toy_dir, cfg_file, str(tmp_path / "serial"), "1", capfd)
+    pooled = _train_artifacts(toy_dir, cfg_file, str(tmp_path / "pooled"), "2", capfd)
     assert serial[0] == pooled[0] == 0
     assert len(serial[2]) == 4
     assert pooled[2] == serial[2]
 
     diverging = tmp_path / "diverging.cfg"
     diverging.write_text(CONFIG_TEXT + "lr0 = 1e300\n")
-    serial = _train_artifacts(toy_dir, str(diverging), str(tmp_path / "serial_nf"), "1", capsys)
-    pooled = _train_artifacts(toy_dir, str(diverging), str(tmp_path / "pooled_nf"), "2", capsys)
+    serial = _train_artifacts(toy_dir, str(diverging), str(tmp_path / "serial_nf"), "1", capfd)
+    pooled = _train_artifacts(toy_dir, str(diverging), str(tmp_path / "pooled_nf"), "2", capfd)
     assert serial[0] == pooled[0] == 2
-    assert "aborted on non-finite loss: expectation phase, round 1, epoch 0: " in serial[1]
-    assert pooled[1] == serial[1]
+    assert serial[1] == pooled[1] == DIVERGED
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_divergence_first_seen_in_validation_names_its_epoch(toy_dir, tmp_path, capsys):
+def test_divergence_first_seen_in_validation_names_its_epoch(toy_dir, tmp_path, capfd, printed_warnings):
     # All 8 train graphs fit in one batch, so the first non-finite value
     # appears in the epoch's validation pass, not in a training forward.
     diverging = tmp_path / "diverging.cfg"
     diverging.write_text(CONFIG_TEXT + "batch_size = 8\nlr0 = 1e300\n")
-    serial = _train_artifacts(toy_dir, str(diverging), str(tmp_path / "serial"), "1", capsys)
-    pooled = _train_artifacts(toy_dir, str(diverging), str(tmp_path / "pooled"), "2", capsys)
+    serial = _train_artifacts(toy_dir, str(diverging), str(tmp_path / "serial"), "1", capfd)
+    pooled = _train_artifacts(toy_dir, str(diverging), str(tmp_path / "pooled"), "2", capfd)
     assert serial[0] == pooled[0] == 2
     assert serial[1].startswith("aborted on non-finite loss: expectation phase, round 1, epoch 0: ")
+    assert serial[1].count("\n") == 1
     assert pooled[1] == serial[1]
 
 
@@ -609,32 +625,43 @@ def test_ablate_single_gamma(toy_dir, cfg_file, tmp_path, capsys):
     assert len(lines) == 2 and lines[1].startswith("0.15,")
 
 
-def _ablate_artifact(toy_dir, cfg, out, jobs, capsys):
+def test_ablate_default_out_dir_depends_on_the_gamma_grid(toy_dir, cfg_file, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for gamma in ("0.1", "0.3", "0.1"):
+        assert main(["ablate", "--dataset", toy_dir, "--config", cfg_file, "--seeds", "0", "--gamma", gamma]) == 0
+    runs = sorted(os.listdir(tmp_path / "runs"))
+    assert len(runs) == 2 and all(r.startswith("ablate-TOY-") for r in runs)
+    grids = {(tmp_path / "runs" / r / "gamma_ablation.csv").read_text().split("\n")[1].split(",")[0] for r in runs}
+    assert grids == {"0.1", "0.3"}
+
+
+def _ablate_artifact(toy_dir, cfg, out, jobs, capfd):
     rc = main(
         ["ablate", "--dataset", toy_dir, "--config", cfg, "--seeds", "0,1", "--gamma", "0.1,0.3",
          "--out", out, "--jobs", jobs]
     )
-    err = capsys.readouterr().err
+    err = capfd.readouterr().err
     path = os.path.join(out, "gamma_ablation.csv")
-    blob = open(path, "rb").read() if os.path.isfile(path) else None
+    blob = None
+    if os.path.isfile(path):
+        with open(path, "rb") as fh:
+            blob = fh.read()
     return rc, err, blob
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_pooled_ablation_matches_serial(toy_dir, cfg_file, tmp_path, capsys):
-    serial = _ablate_artifact(toy_dir, cfg_file, str(tmp_path / "serial"), "1", capsys)
-    pooled = _ablate_artifact(toy_dir, cfg_file, str(tmp_path / "pooled"), "2", capsys)
+def test_pooled_ablation_matches_serial(toy_dir, cfg_file, tmp_path, capfd, printed_warnings):
+    serial = _ablate_artifact(toy_dir, cfg_file, str(tmp_path / "serial"), "1", capfd)
+    pooled = _ablate_artifact(toy_dir, cfg_file, str(tmp_path / "pooled"), "2", capfd)
     assert serial[0] == pooled[0] == 0
     assert serial[2].count(b"\n") == 3
     assert pooled[2] == serial[2]
 
     diverging = tmp_path / "diverging.cfg"
     diverging.write_text(CONFIG_TEXT + "lr0 = 1e300\n")
-    serial = _ablate_artifact(toy_dir, str(diverging), str(tmp_path / "serial_nf"), "1", capsys)
-    pooled = _ablate_artifact(toy_dir, str(diverging), str(tmp_path / "pooled_nf"), "2", capsys)
+    serial = _ablate_artifact(toy_dir, str(diverging), str(tmp_path / "serial_nf"), "1", capfd)
+    pooled = _ablate_artifact(toy_dir, str(diverging), str(tmp_path / "pooled_nf"), "2", capfd)
     assert serial[0] == pooled[0] == 2
-    assert "aborted on non-finite loss: expectation phase, round 1, epoch 0: " in serial[1]
-    assert pooled[1] == serial[1]
+    assert serial[1] == pooled[1] == DIVERGED
     assert serial[2] is None and pooled[2] is None
 
 
@@ -658,7 +685,7 @@ def test_gradcheck_prints_every_target_in_order(capsys):
     labels = [line.split(": max_rel_err=")[0] for line in capsys.readouterr().out.splitlines()]
     primitives = [f"primitive {name}" for name, _, _ in cli.primitive_targets()]
     blocks = [f"l_tot {name}" for name, _ in cli.full_loss_target(1e-6)[1].items()]
-    assert len(primitives) == 17
+    assert len(primitives) == 16
     assert labels == primitives + blocks + ["gradcheck passed"]
 
 

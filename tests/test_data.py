@@ -13,7 +13,7 @@ from lgrpool.data import (
     parse_tu_dataset,
     split_dataset,
 )
-from lgrpool.errors import EmptySplit, ParseError
+from lgrpool.errors import ParseError
 
 from toydata import make_toy_dataset
 
@@ -184,13 +184,6 @@ def test_split_partition_and_determinism():
     combined = [g for part in a for g in part.graphs]
     assert len(combined) == 37
     assert len({id(g) for g in combined}) == 37
-
-
-def test_split_rejects_degenerate_fractions():
-    with pytest.raises(EmptySplit):
-        split_dataset(_dataset_of(30), SplitSpec(seed=0, fractions=(1.0, 0.0, 0.0)))
-    with pytest.raises(EmptySplit):
-        split_dataset(_dataset_of(30), SplitSpec(seed=0, fractions=(0.5, 0.2, 0.2)))
 
 
 def test_split_train_contains_every_class():

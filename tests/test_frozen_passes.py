@@ -48,8 +48,8 @@ def full_tape_maximization_phase(train, params, config, val):
     Returns per-epoch (l_exp, l_precor, l_tot, val_acc), the pooling
     gradients of every step, and the closing mean |l_precor|.
     """
-    opt_state = init_adam(params.pooling_items())
-    pool_items = params.pooling_items()
+    opt_state = init_adam(params.pool.items())
+    pool_items = params.pool.items()
     records, grads = [], []
     for epoch in range(config.epochs, 2 * config.epochs):  # round 1's M epochs
         sums = np.zeros(3)
@@ -106,20 +106,20 @@ def test_constant_theta_m_phase_is_bitwise_full_tape(monkeypatch):
                 assert np.array_equal(g, w)
         for name, arr in params.snapshot().items():
             assert np.array_equal(arr, oracle.snapshot()[name]), name
-        for name, p in params.propagation_items():
+        for name, p in params.prop.items():
             assert p._grad is None, f"{name} was differentiated in the M phase"
 
 
 def test_m_phase_pooling_gradients_reach_only_pooling():
     train, _, cfg, (params, _) = trained_pair(5)
     frozen = ParameterSet(prop=params.prop.constants(), pool=params.pool)
-    for name, value in frozen.propagation_items():
-        assert value.data is dict(params.propagation_items())[name].data
+    for name, value in frozen.prop.items():
+        assert value.data is dict(params.prop.items())[name].data
     params.zero_grad()
     for graph in train.graphs:
         ad.backward(full_tape_loss(graph, frozen, cfg).l_tot)
-    assert all(p._grad is None for _, p in params.propagation_items())
-    assert any(np.any(p.grad != 0) for _, p in params.pooling_items())
+    assert all(p._grad is None for _, p in params.prop.items())
+    assert any(np.any(p.grad != 0) for _, p in params.pool.items())
 
 
 def test_forward_only_passes_build_no_tape(monkeypatch):

@@ -67,8 +67,8 @@ def oracle_normalize_scores(scores, edges, num_nodes, s_thre):
             coeff_i[e, 0] = 1.0 / counts[i]
             coeff_j[e, 0] = 1.0 / counts[j]
     return NormalizedScores(
-        at_i=ad.hadamard(scores, ad.constant(coeff_i)),
-        at_j=ad.hadamard(scores, ad.constant(coeff_j)),
+        at_i=ad.scale_rows(scores, ad.constant(coeff_i)),
+        at_j=ad.scale_rows(scores, ad.constant(coeff_j)),
         surviving=surviving,
         counts=counts,
     )
@@ -175,8 +175,10 @@ def test_array_pooling_matches_per_edge_oracles_bitwise():
             assert_same(lt.merge.assignment, assignment, where + " assignment")
             assert lt.merge.num_supernodes == num_super, where
             assert type(lt.merge.num_supernodes) is int, where
-            assert lt.coarse_edges == edges, where + " coarse edges"
-            assert all(type(u) is int and type(v) is int for u, v in lt.coarse_edges), where
+            ce = lt.coarse_edges
+            assert_same(ce, np.array(edges, dtype=np.int64).reshape(-1, 2), where + " coarse edges")
+            assert np.all(ce[:, 0] < ce[:, 1]), where + " lo < hi"
+            assert ce.tolist() == sorted(ce.tolist()), where + " lexicographic order"
             assert_same(lt.coarse_z.data, coarse_z.data, where + " coarse z")
             composed = assignment[composed]
         assert_same(got.composed_map, composed, tag + " composed map")
@@ -197,7 +199,7 @@ def test_long_path_contracts_to_one_supernode():
     scores = ad.constant(np.ones((len(edges), 1)))
     norm = normalize_scores(scores, edges, n, 0.5)
     coarse_z, coarse_edges, merge = contract_graph(n, edges, norm, ad.constant(np.ones((n, 1))))
-    assert merge.num_supernodes == 1 and coarse_edges == []
+    assert merge.num_supernodes == 1 and coarse_edges.shape == (0, 2)
     assert_same(merge.assignment, np.zeros(n, dtype=np.int64), "assignment")
     assert coarse_z.data.shape == (1, 1)
 
@@ -219,5 +221,5 @@ def test_list_and_array_edges_agree():
     assert_same(n0.at_i.data, n1.at_i.data, "at_i")
     assert_same(n0.at_j.data, n1.at_j.data, "at_j")
     assert_same(z0.data, z1.data, "coarse z")
-    assert e0 == e1
+    assert_same(e0, e1, "coarse edges")
     assert_same(m0.assignment, m1.assignment, "assignment")

@@ -75,7 +75,7 @@ def test_fused_ppr_matches_tape_path_on_random_graphs():
             params = init_parameters(3, 6, 3, NUM_LAYERS, seed=trial)
             z_pre, l_exp, trace, l_tot = losses(graph, params, alpha, k, s_thre, propagate)
             ad.backward(l_tot)
-            grads = [p.grad for _, p in params.propagation_items()]
+            grads = [p.grad for _, p in params.prop.items()]
             counts = [lt.merge.num_supernodes for lt in trace.layers]
             runs.append((z_pre.data, l_exp.data[0, 0], grads, counts))
         (z, l, grads, counts), (z_want, l_want, grads_want, counts_want) = runs

@@ -235,7 +235,7 @@ def test_maximization_phase_zero_gamma_keeps_pooling():
         for graph in batch:
             losses = graph_total_loss(graph, params, cfg)
             ad.backward(losses.l_tot)
-    for name, p in params.pooling_items():
+    for name, p in params.pool.items():
         assert np.array_equal(p.grad, np.zeros_like(p.data)), name
 
     maximization_phase(train, params, cfg)
@@ -336,7 +336,7 @@ def offset_em_train(train, val, test, config):
     params = init_parameters(
         train.feature_dim, config.hidden, train.num_classes, config.num_pooling_layers, config.seed
     )
-    prop_items, pool_items = params.propagation_items(), params.pooling_items()
+    prop_items, pool_items = params.prop.items(), params.pool.items()
     prop_state, pool_state = init_adam(prop_items), init_adam(pool_items)
     n = len(train.graphs)
     records, em_errors = [], []
@@ -454,7 +454,7 @@ def test_evaluate_breaks_ties_toward_lowest_class():
         )
     ds = GraphDataset(graphs=graphs, num_classes=2, feature_dim=2, name="ties")
     params = init_parameters(2, 4, 2, 1, 0)
-    for _, p in params.propagation_items():
+    for _, p in params.prop.items():
         p.data[...] = 0.0  # uniform probabilities, every tie resolves to class 0
     assert evaluate(params, ds, TOY_CONFIG) == 0.5
 
