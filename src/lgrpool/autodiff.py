@@ -34,23 +34,12 @@ class Value:
 
     __slots__ = ("data", "_grad", "requires_grad", "_parents", "_backward_done")
 
-    def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        elif arr.ndim != 2:
-            raise ValueError(f"Value requires a matrix, got ndim={arr.ndim}")
-        self.data = arr
+    def __init__(self, data: np.ndarray, requires_grad: bool = False, parents=()):
+        self.data = data
         self._grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = []
+        self.requires_grad = requires_grad
+        self._parents = parents
         self._backward_done = False
-
-    @property
-    def shape(self):
-        return self.data.shape
 
     @property
     def grad(self) -> np.ndarray:
@@ -70,22 +59,30 @@ class Value:
         return f"Value(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
+def _matrix(arr: np.ndarray) -> np.ndarray:
+    """arr as a 2-d matrix: a scalar or a vector becomes one row."""
+    if arr.ndim < 2:
+        return arr.reshape(1, -1)
+    if arr.ndim > 2:
+        raise ValueError(f"Value requires a matrix, got ndim={arr.ndim}")
+    return arr
+
+
 def constant(data) -> Value:
-    return Value(data, requires_grad=False)
+    return Value(_matrix(np.asarray(data, dtype=np.float64)))
 
 
 def parameter(data) -> Value:
-    return Value(np.array(data, dtype=np.float64, copy=True), requires_grad=True)
+    """A trainable leaf holding its own copy of data."""
+    return Value(_matrix(np.array(data, dtype=np.float64)), requires_grad=True)
 
 
 def _make(op: str, data: np.ndarray, parents) -> Value:
-    """Wrap a forward result, keeping only differentiable parent links."""
-    if not np.all(np.isfinite(data)):
+    """Wrap a 2-d forward result, keeping only differentiable parent links."""
+    if not np.isfinite(data).all():
         raise NonFinite(f"{op}: non-finite forward output")
-    out = Value(data)
-    out._parents = [(p, fn) for p, fn in parents if p.requires_grad]
-    out.requires_grad = bool(out._parents)
-    return out
+    parents = [(p, fn) for p, fn in parents if p.requires_grad]
+    return Value(data, bool(parents), parents)
 
 
 # ---------------------------------------------------------------- primitives
@@ -137,19 +134,13 @@ def ppr(adj: SparseMatrix, h: Value, alpha: float, k: int) -> Value:
 
 def add(a: Value, b: Value) -> Value:
     """Elementwise sum; b may be a single row broadcast over a's rows."""
-    if a.data.shape != b.data.shape:
-        if b.data.shape == (1, a.data.shape[1]):
-            out = a.data + b.data
-            return _make(
-                "add",
-                out,
-                [
-                    (a, lambda g: g),
-                    (b, lambda g: g.sum(axis=0, keepdims=True)),
-                ],
-            )
+    if a.data.shape == b.data.shape:
+        back_b = lambda g: g
+    elif b.data.shape == (1, a.data.shape[1]):
+        back_b = lambda g: g.sum(axis=0, keepdims=True)
+    else:
         raise ShapeMismatch("add", a.data.shape, b.data.shape)
-    return _make("add", a.data + b.data, [(a, lambda g: g), (b, lambda g: g)])
+    return _make("add", a.data + b.data, [(a, lambda g: g), (b, back_b)])
 
 
 def sub(a: Value, b: Value) -> Value:
@@ -190,8 +181,6 @@ def relu(a: Value) -> Value:
 
 
 def softmax_rows(a: Value) -> Value:
-    if not np.all(np.isfinite(a.data)):
-        raise NonFinite("softmax_rows: non-finite input")
     shifted = a.data - a.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=1, keepdims=True)
@@ -226,17 +215,19 @@ def sum_sq_rows(a: Value) -> Value:
     return _make("sum_sq_rows", out, [(a, lambda g, a=a: 2.0 * a.data * g)])
 
 
+def _scatter(values: np.ndarray, idx: np.ndarray, num_rows: int) -> np.ndarray:
+    """out[j] = sum of values' rows i with idx[i] == j."""
+    out = np.zeros((num_rows, values.shape[1]))
+    np.add.at(out, idx, values)
+    return out
+
+
 def gather_rows(a: Value, index) -> Value:
     idx = np.asarray(index, dtype=np.int64)
-    if len(idx) and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
+    n = a.data.shape[0]
+    if len(idx) and (idx.min() < 0 or idx.max() >= n):
         raise ShapeMismatch("gather_rows", a.data.shape, (len(idx),))
-
-    def back(g, idx=idx, a=a):
-        out = np.zeros_like(a.data)
-        np.add.at(out, idx, g)
-        return out
-
-    return _make("gather_rows", a.data[idx], [(a, back)])
+    return _make("gather_rows", a.data[idx], [(a, lambda g, idx=idx, n=n: _scatter(g, idx, n))])
 
 
 def scatter_add_rows(a: Value, index, num_rows: int) -> Value:
@@ -246,8 +237,7 @@ def scatter_add_rows(a: Value, index, num_rows: int) -> Value:
         raise ShapeMismatch("scatter_add_rows", a.data.shape, (len(idx),))
     if len(idx) and (idx.min() < 0 or idx.max() >= num_rows):
         raise ShapeMismatch("scatter_add_rows", (num_rows,), (len(idx),))
-    out = np.zeros((num_rows, a.data.shape[1]))
-    np.add.at(out, idx, a.data)
+    out = _scatter(a.data, idx, num_rows)
     return _make("scatter_add_rows", out, [(a, lambda g, idx=idx: g[idx])])
 
 

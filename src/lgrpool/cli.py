@@ -312,59 +312,59 @@ def cmd_inspect(args) -> int:
 
 
 def _sigmoid_wrong_derivative(a):
-    """Sigmoid whose backward drops the (1 - out) factor; used only to
+    """ad.sigmoid whose backward drops the (1 - out) factor; used only to
     prove the checker catches a broken derivative."""
-    out = 1.0 / (1.0 + np.exp(-a.data))
-    v = ad.Value(out)
-    v._parents = [(a, lambda g, out=out: g * out)]
-    v.requires_grad = a.requires_grad
-    return v
+    out = ad.sigmoid(a)
+    out._parents = [(a, lambda g, y=out.data: g * y)]
+    return out
+
+
+def _sum_sq(op):
+    """Builder of sum(op(a)**2): op's upstream gradient is not a constant."""
+    return lambda ps: ad.sum_all(ad.sum_sq_rows(op(ps["a"])))
+
+
+_RING4 = data_mod.build_normalized_adjacency(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+_A34 = {"a": (3, 4)}
+
+# (name, builder, input shapes), one row per differentiable primitive.
+PRIMITIVE_TARGETS = (
+    ("matmul", lambda ps: ad.sum_all(ad.matmul(ps["a"], ps["b"])), {"a": (3, 4), "b": (4, 5)}),
+    ("ppr", _sum_sq(lambda h: ad.ppr(_RING4, h, 0.3, 4)), {"a": (4, 3)}),
+    ("add", lambda ps: ad.sum_all(ad.add(ps["a"], ps["b"])), {"a": (3, 4), "b": (3, 4)}),
+    ("add_row_broadcast", lambda ps: ad.sum_all(ad.add(ps["a"], ps["b"])), {"a": (3, 4), "b": (1, 4)}),
+    ("sub", lambda ps: ad.sum_all(ad.sub(ps["a"], ps["b"])), {"a": (3, 4), "b": (3, 4)}),
+    ("scale", lambda ps: ad.sum_all(ad.scale(ps["a"], -1.7)), _A34),
+    ("scale_rows", lambda ps: ad.sum_all(ad.scale_rows(ps["a"], ps["s"])), {"a": (3, 4), "s": (3, 1)}),
+    ("sigmoid", _sum_sq(ad.sigmoid), _A34),
+    ("relu", _sum_sq(ad.relu), _A34),
+    ("softmax_rows", _sum_sq(ad.softmax_rows), _A34),
+    ("mean_rows", _sum_sq(ad.mean_rows), _A34),
+    # The inner sum_all is under test: its upstream gradient is 2 * sum(a), not a constant 1.
+    ("sum_all", _sum_sq(ad.sum_all), _A34),
+    ("sum_sq_rows", lambda ps: ad.sum_all(ad.sum_sq_rows(ps["a"])), _A34),
+    ("gather_rows", _sum_sq(lambda a: ad.gather_rows(a, [2, 0, 2, 1])), _A34),
+    ("scatter_add_rows", _sum_sq(lambda a: ad.scatter_add_rows(a, [1, 0, 1, 2], 3)), {"a": (4, 3)}),
+    ("cross_entropy_rows", lambda ps: ad.cross_entropy_rows(ad.softmax_rows(ps["a"]), [1, 0, 2]), _A34),
+)
 
 
 def primitive_targets(inject_fault: bool = False):
-    """One (name, builder, params) triple per differentiable primitive.
+    """One (name, builder, params) triple per row of PRIMITIVE_TARGETS.
 
     Each builder reduces the primitive's output to a scalar via sum_all
-    so the same finite-difference harness covers the whole set. Inputs
-    are drawn once; ReLU inputs are kept away from the kink.
+    so the same finite-difference harness covers the whole set. A
+    target's inputs come from a generator seeded by its name alone and
+    lie in [-2, -0.2) or [0.2, 2), away from ReLU's kink.
     """
-    rng = np.random.default_rng(12345)
-
-    def p(shape, away_from_zero=False):
-        arr = rng.uniform(-2.0, 2.0, size=shape)
-        if away_from_zero:
-            arr = np.where(np.abs(arr) < 0.2, np.sign(arr) * 0.2 + arr, arr)
-        return ad.parameter(arr)
-
-    adj = data_mod.build_normalized_adjacency(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     targets = []
-
-    def t(name, builder, params):
+    for name, builder, shapes in PRIMITIVE_TARGETS:
+        if inject_fault and name == "sigmoid":
+            builder = _sum_sq(_sigmoid_wrong_derivative)
+        rng = np.random.default_rng(list(name.encode()))
+        draws = {key: rng.uniform(-1.8, 1.8, size=shape) for key, shape in shapes.items()}
+        params = {key: ad.parameter(d + np.copysign(0.2, d)) for key, d in draws.items()}
         targets.append((name, builder, params))
-
-    a34, b45 = p((3, 4)), p((4, 5))
-    t("matmul", lambda ps: ad.sum_all(ad.matmul(ps["a"], ps["b"])), {"a": a34, "b": b45})
-    t("ppr", lambda ps: ad.sum_all(ad.sum_sq_rows(ad.ppr(adj, ps["h"], 0.3, 4))), {"h": p((4, 3))})
-    t("add", lambda ps: ad.sum_all(ad.add(ps["a"], ps["b"])), {"a": p((3, 4)), "b": p((3, 4))})
-    t("add_row_broadcast", lambda ps: ad.sum_all(ad.add(ps["a"], ps["b"])), {"a": p((3, 4)), "b": p((1, 4))})
-    t("sub", lambda ps: ad.sum_all(ad.sub(ps["a"], ps["b"])), {"a": p((3, 4)), "b": p((3, 4))})
-    t("scale", lambda ps: ad.sum_all(ad.scale(ps["a"], -1.7)), {"a": p((3, 4))})
-    t("scale_rows", lambda ps: ad.sum_all(ad.scale_rows(ps["a"], ps["s"])), {"a": p((3, 4)), "s": p((3, 1))})
-    sig = _sigmoid_wrong_derivative if inject_fault else ad.sigmoid
-    t("sigmoid", lambda ps: ad.sum_all(ad.sum_sq_rows(sig(ps["a"]))), {"a": p((3, 4))})
-    t("relu", lambda ps: ad.sum_all(ad.sum_sq_rows(ad.relu(ps["a"]))), {"a": p((3, 4), away_from_zero=True)})
-    t("softmax_rows", lambda ps: ad.sum_all(ad.sum_sq_rows(ad.softmax_rows(ps["a"]))), {"a": p((3, 4))})
-    t("mean_rows", lambda ps: ad.sum_all(ad.sum_sq_rows(ad.mean_rows(ps["a"]))), {"a": p((3, 4))})
-    # The inner sum_all is under test: its upstream gradient is 2 * sum(a), not a constant 1.
-    t("sum_all", lambda ps: ad.sum_all(ad.sum_sq_rows(ad.sum_all(ps["a"]))), {"a": p((3, 4))})
-    t("sum_sq_rows", lambda ps: ad.sum_all(ad.sum_sq_rows(ps["a"])), {"a": p((3, 4))})
-    t("gather_rows", lambda ps: ad.sum_all(ad.sum_sq_rows(ad.gather_rows(ps["a"], [2, 0, 2, 1]))), {"a": p((3, 4))})
-    t("scatter_add_rows", lambda ps: ad.sum_all(ad.sum_sq_rows(ad.scatter_add_rows(ps["a"], [1, 0, 1, 2], 3))), {"a": p((4, 3))})
-    t(
-        "cross_entropy_rows",
-        lambda ps: ad.cross_entropy_rows(ad.softmax_rows(ps["a"]), [1, 0, 2]),
-        {"a": p((3, 4))},
-    )
     return targets
 
 

@@ -189,6 +189,15 @@ def mean_precor_error(dataset: GraphDataset, params: ParameterSet, config: Train
 _PHASE_NAMES = {"E": "expectation", "M": "maximization"}
 
 
+@contextmanager
+def _labelled(what: str):
+    """Prefix ``what`` to the message of a NonFinite raised inside."""
+    try:
+        yield
+    except NonFinite as exc:
+        raise NonFinite(f"{what}: {exc}") from exc
+
+
 def _train_phase(phase, train, params, group, opt_state, loss_of, val_acc, config,
                  em_round, metrics) -> AdamState:
     """Mini-batch Adam over one parameter group: the loop both EM phases share.
@@ -207,8 +216,8 @@ def _train_phase(phase, train, params, group, opt_state, loss_of, val_acc, confi
     for epoch in range(first, first + config.epochs):
         lr = lr_schedule(epoch, config.lr0)
         sums = {}
-        # One try per epoch: divergence can first show in the record's val_acc().
-        try:
+        # One label per epoch: divergence can first show in the record's val_acc().
+        with _labelled(f"{_PHASE_NAMES[phase]} phase, round {em_round}, epoch {epoch}"):
             for batch in iterate_batches(train, config.batch_size, config.seed, epoch):
                 params.zero_grad()
                 for graph in batch:
@@ -228,10 +237,6 @@ def _train_phase(phase, train, params, group, opt_state, loss_of, val_acc, confi
                         **{name: total / n for name, total in sums.items()},
                     )
                 )
-        except NonFinite as exc:
-            raise NonFinite(
-                f"{_PHASE_NAMES[phase]} phase, round {em_round}, epoch {epoch}: {exc}"
-            ) from exc
     return opt_state
 
 
@@ -286,7 +291,8 @@ def maximization_phase(
         "M", train, params, params.pool.items(), opt_state, loss_of, lambda: val_acc,
         config, em_round, metrics,
     )
-    return opt_state, mean_precor_error(train, params, config)
+    with _labelled(f"maximization phase, round {em_round}, closing regularizer pass"):
+        return opt_state, mean_precor_error(train, params, config)
 
 
 def em_train(train: GraphDataset, val: GraphDataset, test: GraphDataset, config: TrainingConfig):
@@ -310,7 +316,8 @@ def em_train(train: GraphDataset, val: GraphDataset, test: GraphDataset, config:
     prop_state = pool_state = None
     metrics = RunMetrics()
 
-    prev_err = mean_precor_error(train, params, config)
+    with _labelled("opening regularizer pass"):
+        prev_err = mean_precor_error(train, params, config)
     best_val = -1.0  # below every accuracy, so round 1 always sets best_snapshot
 
     for em_round in range(1, config.em_rounds_max + 1):
@@ -333,7 +340,8 @@ def em_train(train: GraphDataset, val: GraphDataset, test: GraphDataset, config:
         prev_err = err
 
     params.load_snapshot(best_snapshot)
-    metrics.test_acc = evaluate(params, test, config)
+    with _labelled("test evaluation"):
+        metrics.test_acc = evaluate(params, test, config)
     metrics.wall_clock = time.perf_counter() - t0
     return params, metrics
 

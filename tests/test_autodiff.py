@@ -122,6 +122,22 @@ def test_backward_is_single_use():
         ad.backward(loss)
 
 
+def test_constant_and_parameter_shape_their_input():
+    for make in (ad.constant, ad.parameter):
+        scalar, vector, matrix = make(2.5), make(np.arange(3)), make([[1.0, 2.0]])
+        assert scalar.data.shape == (1, 1) and vector.data.shape == (1, 3) and matrix.data.shape == (1, 2)
+        assert vector.data.dtype == np.float64
+        with pytest.raises(ValueError):
+            make(np.zeros((2, 2, 2)))
+
+
+def test_parameter_copies_its_input():
+    source = np.ones((2, 3))
+    p = ad.parameter(source)
+    p.data += 1.0
+    np.testing.assert_array_equal(source, np.ones((2, 3)))
+
+
 def test_non_finite_forward_raises():
     x = ad.parameter(np.ones((2, 2)))
     with pytest.raises(NonFinite):

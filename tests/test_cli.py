@@ -527,6 +527,20 @@ def test_divergence_first_seen_in_validation_names_its_epoch(toy_dir, tmp_path, 
     assert pooled[1] == serial[1]
 
 
+def test_divergence_in_opening_regularizer_pass_names_the_pass(cfg_file, tmp_path, capfd, printed_warnings):
+    # Finite attributes that overflow the first matmul of the pass before any epoch.
+    huge = make_toy_dataset(10, name="HUGE")
+    for graph in huge.graphs:
+        graph.node_attributes[:] = 1.7e308
+    path = str(tmp_path / "HUGE")
+    emit_tu_dataset(huge, path)
+    serial = _train_artifacts(path, cfg_file, str(tmp_path / "serial"), "1", capfd)
+    pooled = _train_artifacts(path, cfg_file, str(tmp_path / "pooled"), "2", capfd)
+    assert serial[0] == pooled[0] == 2
+    want = "aborted on non-finite loss: opening regularizer pass: matmul: non-finite forward output\n"
+    assert serial[1] == pooled[1] == want
+
+
 class RecordingPool:
     """Stand-in for ProcessPoolExecutor: records its size, runs jobs inline."""
 
@@ -687,6 +701,21 @@ def test_gradcheck_prints_every_target_in_order(capsys):
     blocks = [f"l_tot {name}" for name, _ in cli.full_loss_target(1e-6)[1].items()]
     assert len(primitives) == 16
     assert labels == primitives + blocks + ["gradcheck passed"]
+
+
+def test_gradcheck_inputs_depend_only_on_the_target_name(monkeypatch):
+    rows = cli.PRIMITIVE_TARGETS
+    in_order = {name: params for name, _, params in cli.primitive_targets()}
+    monkeypatch.setattr(cli, "PRIMITIVE_TARGETS", rows[::-1])
+    reversed_order = {name: params for name, _, params in cli.primitive_targets()}
+    for row in rows:
+        monkeypatch.setattr(cli, "PRIMITIVE_TARGETS", (row,))
+        [(name, _, alone)] = cli.primitive_targets()
+        for params in (in_order[name], reversed_order[name]):
+            assert params.keys() == alone.keys()
+            for key, value in params.items():
+                np.testing.assert_array_equal(value.data, alone[key].data)
+                assert np.abs(value.data).min() >= 0.2, f"{name}.{key} draws near zero"
 
 
 def test_gradcheck_eps_bounds(capsys):

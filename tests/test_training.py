@@ -8,7 +8,7 @@ from lgrpool import autodiff as ad
 from lgrpool import training
 from lgrpool.cli import load_config
 from lgrpool.data import Graph, GraphDataset, build_normalized_adjacency, iterate_batches
-from lgrpool.errors import EmptySplit
+from lgrpool.errors import EmptySplit, NonFinite
 from lgrpool.model import ParameterSet, graph_expectation_loss, graph_total_loss, init_parameters
 from lgrpool.training import (
     AdamState,
@@ -420,6 +420,31 @@ def test_em_train_passes_em_round_to_maximization_by_keyword(monkeypatch):
     _, metrics = em_train(train, val, test, TOY_CONFIG.with_overrides(em_rounds_max=3))
     assert len(metrics.em_errors) == 3
     assert rounds == [1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "name, failing_call, label",
+    [
+        ("mean_precor_error", 1, "opening regularizer pass"),
+        ("mean_precor_error", 3, "maximization phase, round 2, closing regularizer pass"),
+        # Validation runs once per E epoch of the two rounds, then the test set once.
+        ("evaluate", 2 * TOY_CONFIG.epochs + 1, "test evaluation"),
+    ],
+)
+def test_em_train_labels_divergence_outside_the_epochs(monkeypatch, name, failing_call, label):
+    real = getattr(training, name)
+    calls = []
+
+    def diverging(*args):
+        calls.append(None)
+        if len(calls) == failing_call:
+            raise NonFinite("matmul: non-finite forward output")
+        return real(*args)
+
+    monkeypatch.setattr(training, name, diverging)
+    with pytest.raises(NonFinite) as info:
+        em_train(*toy_splits(), TOY_CONFIG)
+    assert str(info.value) == f"{label}: matmul: non-finite forward output"
 
 
 @pytest.mark.parametrize("phase", [expectation_phase, maximization_phase, mean_precor_error])
