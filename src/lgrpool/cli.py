@@ -206,10 +206,19 @@ def _ablate_one(dataset, config: TrainingConfig):
 
 def _run_jobs(worker, jobs_args, num_jobs: int):
     """worker(*args) for each args, in order, over at most num_jobs
-    processes and never more processes than jobs."""
+    processes and never more processes than jobs. Every job runs; the
+    first failure in job order is raised once all have run."""
     workers = min(num_jobs, len(jobs_args))
     if workers <= 1:
-        return [worker(*args) for args in jobs_args]
+        results, failures = [], []
+        for args in jobs_args:
+            try:
+                results.append(worker(*args))
+            except Exception as exc:  # raised below, as a pool's futures would
+                failures.append(exc)
+        if failures:
+            raise failures[0]
+        return results
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(worker, *args) for args in jobs_args]
         return [f.result() for f in futures]
@@ -255,14 +264,15 @@ def cmd_eval(args) -> int:
         raise ValueError("eval needs a manifest in --out, or explicit --dataset and --seeds")
     dataset, _ = _load_dataset(dataset_arg)
     per_seed = {}
-    for seed in seeds:
-        path = os.path.join(args.out, f"checkpoint_seed{seed}.json")
-        if not os.path.isfile(path):
-            raise FileNotFoundError(f"missing checkpoint: {path}")
-        config, arrays = training.load_checkpoint(path)
-        _, _, test = split_dataset(dataset, SplitSpec(seed=seed))
-        params = training.restore_parameters(dataset, config, arrays)
-        per_seed[seed] = training.evaluate(params, test, config)
+    with np.errstate(over="ignore", invalid="ignore"), training.labelled("test evaluation"):
+        for seed in seeds:
+            path = os.path.join(args.out, f"checkpoint_seed{seed}.json")
+            if not os.path.isfile(path):
+                raise FileNotFoundError(f"missing checkpoint: {path}")
+            config, arrays = training.load_checkpoint(path)
+            _, _, test = split_dataset(dataset, SplitSpec(seed=seed))
+            params = training.restore_parameters(dataset, config, arrays)
+            per_seed[seed] = training.evaluate(params, test, config)
     print(json.dumps(_summary(per_seed), sort_keys=True))
     return 0
 

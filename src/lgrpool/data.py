@@ -17,9 +17,11 @@ neither exists.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import EmptySplit, ParseError
 from .sparse import SparseMatrix
@@ -27,20 +29,32 @@ from .sparse import SparseMatrix
 SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
 
 
-def build_normalized_adjacency(num_nodes: int, edges) -> SparseMatrix:
-    """Symmetric normalized adjacency with self-loops.
-
+def _normalized_blocks(node_start, ends) -> list:
+    """Normalized adjacency with self-loops of each node range
+    node_start[g]:node_start[g + 1], given (E, 2) edges that never leave
+    their range: each is a slice of one block-diagonal CSR over all nodes.
     Entry (i, j) is 1/sqrt(d_i * d_j) where d counts the self-loop, so
     every row sum is positive and the spectral radius is at most 1.
-    Isolated nodes get a single diagonal entry of 1.
     """
-    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    inv_sqrt = 1.0 / np.sqrt(1 + np.bincount(ends.ravel(), minlength=num_nodes))
-    nodes = np.arange(num_nodes)
+    n = node_start[-1]
+    ends = ends.astype(np.int32 if n <= np.iinfo(np.int32).max else np.int64)
+    inv_sqrt = 1.0 / np.sqrt(1 + np.bincount(ends.ravel(), minlength=n))
+    nodes = np.arange(n, dtype=ends.dtype)
     rows = np.concatenate([nodes, ends.ravel()])
     cols = np.concatenate([nodes, ends[:, ::-1].ravel()])
     vals = inv_sqrt[rows] * inv_sqrt[cols]
-    return SparseMatrix.from_coo(rows, cols, vals, (num_nodes, num_nodes))
+    whole = SparseMatrix.from_coo(rows, cols, vals, (n, n))._csr
+    indptr, indices, data = whole.indptr, whole.indices, whole.data
+    entry_start = indptr[node_start].tolist()
+    return [
+        SparseMatrix(sp.csr_matrix((data[s:e], indices[s:e] - a, indptr[a : b + 1] - s), shape=(b - a,) * 2))
+        for a, b, s, e in zip(node_start, node_start[1:], entry_start, entry_start[1:])
+    ]
+
+
+def build_normalized_adjacency(num_nodes: int, edges) -> SparseMatrix:
+    """Symmetric normalized adjacency with self-loops of one graph."""
+    return _normalized_blocks([0, num_nodes], np.asarray(edges, dtype=np.int64).reshape(-1, 2))[0]
 
 
 @dataclass
@@ -127,6 +141,14 @@ def _read_table(path: str, dtype, columns: int | None = None, optional: bool = F
     """
     if optional and not os.path.isfile(path):
         return None
+    try:  # numpy's C reader on the path, decoding latin1 as it does the byte lines below
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.loadtxt(path, dtype, delimiter=",", comments=None, ndmin=2, encoding="latin1")
+        if columns in (None, values.shape[1]):
+            return values
+    except (OSError, ValueError, Warning):  # missing, empty or malformed, or a whitespace-only line
+        pass
     try:
         with open(path, "rb") as fh:
             rows = list(filter(bytes.strip, fh.read().splitlines()))
@@ -196,8 +218,8 @@ def parse_tu_dataset(dir_path: str, name: str) -> GraphDataset:
     ends = np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1)
     lo, hi = np.divmod(np.unique(ends[:, 0] * num_nodes_total + ends[:, 1]), num_nodes_total)
     edge_start = np.searchsorted(lo, node_start).tolist()
-    local = np.column_stack((lo, hi)) - node_start[gid[lo] - 1, None]
-    edges = list(map(tuple, local.tolist()))
+    ends = np.column_stack((lo, hi))
+    edges = list(map(tuple, (ends - node_start[gid[lo] - 1, None]).tolist()))
 
     for suffix, table in (("node_labels.txt", node_labels), ("node_attributes.txt", attrs)):
         if table is not None and len(table) != num_nodes_total:
@@ -224,18 +246,19 @@ def parse_tu_dataset(dir_path: str, name: str) -> GraphDataset:
 
     classes, labels = np.unique(raw_labels, return_inverse=True)
     node_start = node_start.tolist()
-    bounds = zip(labels.tolist(), node_start, node_start[1:], edge_start, edge_start[1:])
+    adjs = _normalized_blocks(node_start, ends)
+    bounds = zip(labels.tolist(), adjs, node_start, node_start[1:], edge_start, edge_start[1:])
     graphs = [
         Graph(
             num_nodes=b - a,
             edges=edges[e:f],
             features=features[a:b],
             label=label,
-            adj_norm=build_normalized_adjacency(b - a, local[e:f]),
+            adj_norm=adj,
             node_labels=None if node_labels is None else node_labels[a:b],
             node_attributes=None if attrs is None else attrs[a:b],
         )
-        for label, a, b, e, f in bounds
+        for label, adj, a, b, e, f in bounds
     ]
 
     return GraphDataset(

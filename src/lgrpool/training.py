@@ -190,7 +190,7 @@ _PHASE_NAMES = {"E": "expectation", "M": "maximization"}
 
 
 @contextmanager
-def _labelled(what: str):
+def labelled(what: str):
     """Prefix ``what`` to the message of a NonFinite raised inside."""
     try:
         yield
@@ -217,7 +217,7 @@ def _train_phase(phase, train, params, group, opt_state, loss_of, val_acc, confi
         lr = lr_schedule(epoch, config.lr0)
         sums = {}
         # One label per epoch: divergence can first show in the record's val_acc().
-        with _labelled(f"{_PHASE_NAMES[phase]} phase, round {em_round}, epoch {epoch}"):
+        with labelled(f"{_PHASE_NAMES[phase]} phase, round {em_round}, epoch {epoch}"):
             for batch in iterate_batches(train, config.batch_size, config.seed, epoch):
                 params.zero_grad()
                 for graph in batch:
@@ -291,7 +291,7 @@ def maximization_phase(
         "M", train, params, params.pool.items(), opt_state, loss_of, lambda: val_acc,
         config, em_round, metrics,
     )
-    with _labelled(f"maximization phase, round {em_round}, closing regularizer pass"):
+    with labelled(f"maximization phase, round {em_round}, closing regularizer pass"):
         return opt_state, mean_precor_error(train, params, config)
 
 
@@ -316,7 +316,7 @@ def em_train(train: GraphDataset, val: GraphDataset, test: GraphDataset, config:
     prop_state = pool_state = None
     metrics = RunMetrics()
 
-    with _labelled("opening regularizer pass"):
+    with labelled("opening regularizer pass"):
         prev_err = mean_precor_error(train, params, config)
     best_val = -1.0  # below every accuracy, so round 1 always sets best_snapshot
 
@@ -340,7 +340,7 @@ def em_train(train: GraphDataset, val: GraphDataset, test: GraphDataset, config:
         prev_err = err
 
     params.load_snapshot(best_snapshot)
-    with _labelled("test evaluation"):
+    with labelled("test evaluation"):
         metrics.test_acc = evaluate(params, test, config)
     metrics.wall_clock = time.perf_counter() - t0
     return params, metrics

@@ -527,18 +527,35 @@ def test_divergence_first_seen_in_validation_names_its_epoch(toy_dir, tmp_path, 
     assert pooled[1] == serial[1]
 
 
-def test_divergence_in_opening_regularizer_pass_names_the_pass(cfg_file, tmp_path, capfd, printed_warnings):
-    # Finite attributes that overflow the first matmul of the pass before any epoch.
+def _huge_toy_dir(tmp_path):
+    """The 10-graph toy with every node attribute 1.7e308: finite values
+    that overflow the first matmul of any forward pass."""
     huge = make_toy_dataset(10, name="HUGE")
     for graph in huge.graphs:
         graph.node_attributes[:] = 1.7e308
     path = str(tmp_path / "HUGE")
     emit_tu_dataset(huge, path)
+    return path
+
+
+def test_divergence_in_opening_regularizer_pass_names_the_pass(cfg_file, tmp_path, capfd, printed_warnings):
+    path = _huge_toy_dir(tmp_path)
     serial = _train_artifacts(path, cfg_file, str(tmp_path / "serial"), "1", capfd)
     pooled = _train_artifacts(path, cfg_file, str(tmp_path / "pooled"), "2", capfd)
     assert serial[0] == pooled[0] == 2
     want = "aborted on non-finite loss: opening regularizer pass: matmul: non-finite forward output\n"
     assert serial[1] == pooled[1] == want
+    # Seed 0 diverges and seed 1 still runs and writes, serially as in the pool.
+    assert sorted(serial[2]) == ["checkpoint_seed1.json", "metrics_seed1.csv"]
+    assert serial[2] == pooled[2]
+
+
+def test_eval_divergence_is_labelled_without_numpy_warning(trained, tmp_path, capfd, printed_warnings):
+    rc = main(["eval", "--dataset", _huge_toy_dir(tmp_path), "--out", trained, "--seeds", "0"])
+    captured = capfd.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "aborted on non-finite loss: test evaluation: matmul: non-finite forward output\n"
 
 
 class RecordingPool:

@@ -15,6 +15,7 @@ import pytest
 from lgrpool.data import (
     Graph,
     GraphDataset,
+    _normalized_blocks,
     build_normalized_adjacency,
     emit_tu_dataset,
     parse_tu_dataset,
@@ -330,6 +331,82 @@ def test_adjacency_matches_loop_oracle():
         want = oracle_adjacency(n, edges)
         assert_same_adjacency(build_normalized_adjacency(n, edges), want)
         assert_same_adjacency(build_normalized_adjacency(n, np.array(edges, dtype=np.int64).reshape(-1, 2)), want)
+
+
+def _csr_bytes(adj):
+    csr = adj._csr
+    return csr.shape, [(a.dtype, a.tobytes()) for a in (csr.indptr, csr.indices, csr.data)]
+
+
+def test_block_slices_match_one_graph_builds():
+    rng = np.random.default_rng(11)
+    seen = set()
+    for _ in range(200):
+        sizes = rng.integers(1, 12, size=int(rng.integers(1, 8))).tolist()
+        node_start = np.r_[0, np.cumsum(sizes)].tolist()
+        per_graph = []
+        for n in sizes:
+            count = 0 if rng.random() < 0.2 else int(rng.integers(0, 2 * n))
+            per_graph.append(rng.integers(0, n, size=(count, 2)))
+            seen.add("single-node graph" if n == 1 else "larger graph")
+            seen.add("edgeless graph" if count == 0 else "edges")
+            if len(np.unique(per_graph[-1])) < n:
+                seen.add("isolated node")
+        ends = np.concatenate([e + a for e, a in zip(per_graph, node_start)])
+        blocks = _normalized_blocks(node_start, ends)
+        assert len(blocks) == len(sizes)
+        for n, graph_ends, block in zip(sizes, per_graph, blocks):
+            assert _csr_bytes(block) == _csr_bytes(build_normalized_adjacency(n, graph_ends))
+    assert seen >= {"single-node graph", "larger graph", "edgeless graph", "edges", "isolated node"}
+
+
+def _write_valid(d, name, edit=lambda text: text):
+    d.mkdir()
+    for s, body in VALID.items():
+        with open(d / f"{name}_{s}", "w", encoding="utf-8", newline="") as fh:
+            fh.write(edit(body))
+    return str(d)
+
+
+def test_parse_builds_one_sparse_matrix(tmp_path, monkeypatch):
+    shapes = []
+    from_coo = SparseMatrix.from_coo
+    monkeypatch.setattr(SparseMatrix, "from_coo", lambda *args: shapes.append(args[3]) or from_coo(*args))
+    ds = parse_tu_dataset(_write_valid(tmp_path / "OK", "OK"), "OK")
+    assert [g.num_nodes for g in ds.graphs] == [2, 2]
+    assert shapes == [(4, 4)]
+
+
+@pytest.mark.parametrize(
+    "case, edit, fast",
+    [
+        ("crlf", lambda text: text.replace("\n", "\r\n"), True),
+        ("no final newline", lambda text: text[:-1], True),
+        ("whitespace-only line", lambda text: text.replace("\n", "\n \t\n", 1), False),
+    ],
+)
+def test_files_read_in_one_pass_unless_a_line_is_whitespace(tmp_path, monkeypatch, case, edit, fast):
+    # The one-pass read hands numpy the path; the line-by-line read, a list of lines.
+    sources = []
+    loadtxt = np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        sources.append(type(source))
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    path = _write_valid(tmp_path / "OK", "OK", edit)
+    got = parse_tu_dataset(path, "OK")
+    assert sources == ([str] if fast else [str, list]) * len(VALID)
+    assert_same_dataset(got, oracle_parse(path, "OK"))
+
+
+def test_non_ascii_space_stays_malformed(tmp_path):
+    # Decoded as UTF-8, numpy reads "2\u00a0" as 2; the line reader decodes latin1 and rejects it.
+    path = _write_valid(tmp_path / "BAD", "BAD")
+    (tmp_path / "BAD" / "BAD_graph_labels.txt").write_bytes("1\n2\u00a0\n".encode())
+    with pytest.raises(ParseError, match="graph_labels.txt line 2"):
+        parse_tu_dataset(path, "BAD")
 
 
 # --------------------------------------------------------------- malformed
