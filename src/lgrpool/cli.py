@@ -182,12 +182,9 @@ def default_out_dir(command: str, dataset_name: str, config: TrainingConfig, see
 def _fit(dataset, config: TrainingConfig):
     """One em_train run on the parsed dataset, split by the config's seed;
     its arguments pickle, so it can run in a separate process. Returns
-    (params, metrics). numpy's overflow and invalid-value warnings are off:
-    a non-finite value raises NonFinite, which names the op, so a diverging
-    job prints one line, serially and in a worker alike."""
+    (params, metrics)."""
     train, val, test = split_dataset(dataset, SplitSpec(seed=config.seed))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return training.em_train(train, val, test, config)
+    return training.em_train(train, val, test, config)
 
 
 def _train_one_seed(dataset, config: TrainingConfig, out_dir: str):
@@ -264,7 +261,7 @@ def cmd_eval(args) -> int:
         raise ValueError("eval needs a manifest in --out, or explicit --dataset and --seeds")
     dataset, _ = _load_dataset(dataset_arg)
     per_seed = {}
-    with np.errstate(over="ignore", invalid="ignore"), training.labelled("test evaluation"):
+    with training.labelled("test evaluation"):
         for seed in seeds:
             path = os.path.join(args.out, f"checkpoint_seed{seed}.json")
             if not os.path.isfile(path):
@@ -313,7 +310,8 @@ def cmd_inspect(args) -> int:
             config.num_pooling_layers,
             seed=0,
         )
-        trace = graph_total_loss(graph, params, config).trace
+        with training.labelled("inspect trace"):
+            trace = graph_total_loss(graph, params, config).trace
         print(json.dumps(trace.summary(), sort_keys=True))
     return 0
 

@@ -52,6 +52,16 @@ def _normalized_blocks(node_start, ends) -> list:
     ]
 
 
+def canonical_edges(ends, num_nodes: int) -> np.ndarray:
+    """The distinct undirected edges among (E, 2) endpoint pairs: no
+    self-pairs, each row lo < hi, as (E', 2) int64 rows in lexicographic
+    order, which is the order of the packed key lo * num_nodes + hi."""
+    ends = np.asarray(ends, dtype=np.int64).reshape(-1, 2)
+    a, b = ends[ends[:, 0] != ends[:, 1]].T
+    keys = np.unique(np.minimum(a, b) * num_nodes + np.maximum(a, b))
+    return np.column_stack(np.divmod(keys, num_nodes))
+
+
 def build_normalized_adjacency(num_nodes: int, edges) -> SparseMatrix:
     """Symmetric normalized adjacency with self-loops of one graph."""
     return _normalized_blocks([0, num_nodes], np.asarray(edges, dtype=np.int64).reshape(-1, 2))[0]
@@ -213,13 +223,10 @@ def parse_tu_dataset(dir_path: str, name: str) -> GraphDataset:
         else "edge crosses graphs {} and {}".format(*ends_gid[r]),
         prefix + "A.txt",
     )
-    # Sorted (lo, hi) keys group the edges by graph, because each graph
-    # owns a contiguous node range.
-    ends = np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1)
-    lo, hi = np.divmod(np.unique(ends[:, 0] * num_nodes_total + ends[:, 1]), num_nodes_total)
-    edge_start = np.searchsorted(lo, node_start).tolist()
-    ends = np.column_stack((lo, hi))
-    edges = list(map(tuple, (ends - node_start[gid[lo] - 1, None]).tolist()))
+    # Sorted rows group the edges by graph: each graph owns a contiguous node range.
+    ends = canonical_edges(ends, num_nodes_total)
+    edge_start = np.searchsorted(ends[:, 0], node_start).tolist()
+    edges = list(map(tuple, (ends - node_start[gid[ends[:, 0]] - 1, None]).tolist()))
 
     for suffix, table in (("node_labels.txt", node_labels), ("node_attributes.txt", attrs)):
         if table is not None and len(table) != num_nodes_total:

@@ -12,14 +12,14 @@ flow through the surviving scores' values, never through the selection.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value
-# Not called here: perfbench's layer trace wraps this name and fails when it is missing.
-from .data import build_normalized_adjacency  # noqa: F401
+# build_normalized_adjacency is not called here: perfbench's layer trace wraps it.
+from .data import build_normalized_adjacency, canonical_edges  # noqa: F401
 
 GATE_FLOOR = 1e-6
 SPREAD_CLAMP = 10.0
@@ -38,15 +38,13 @@ class PoolingParams:
     layers: list
 
     def items(self):
-        out = []
-        for idx, layer in enumerate(self.layers):
-            out.append((f"pool.{idx}.w", layer.w))
-            out.append((f"pool.{idx}.a", layer.a))
-        return out
+        return [(f"pool.{i}.{f.name}", getattr(x, f.name)) for i, x in enumerate(self.layers) for f in fields(x)]
 
     def constants(self) -> "PoolingParams":
         """The same arrays as constants, so no tape reaches them."""
-        return PoolingParams([PoolLayerParams(ad.constant(x.w.data), ad.constant(x.a.data)) for x in self.layers])
+        return PoolingParams(
+            [PoolLayerParams(*(ad.constant(getattr(x, f.name).data) for f in fields(x))) for x in self.layers]
+        )
 
 
 def init_pooling_params(
@@ -195,9 +193,8 @@ def contract_graph(
     Supernode features are gated sums: gate_i is the sum of node i's
     directed normalized scores, floored at GATE_FLOOR for nodes with no
     surviving edge so singleton supernodes keep a live feature path.
-    Coarse edges are the deduplicated images of fine edges between
-    distinct supernodes: an (E', 2) int64 array of lo < hi rows in
-    lexicographic order.
+    Coarse edges are the images of the fine edges under the merge, put in
+    canonical form by data.canonical_edges, as the parser puts the input's.
     """
     ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     merge = _components(num_nodes, ends[norm.surviving])
@@ -212,9 +209,7 @@ def contract_graph(
         ad.scale_rows(z, gate), merge.assignment, merge.num_supernodes
     )
 
-    images = merge.assignment[ends]
-    images = np.sort(images[images[:, 0] != images[:, 1]], axis=1)
-    return coarse_z, np.unique(images, axis=0), merge
+    return coarse_z, canonical_edges(merge.assignment[ends], merge.num_supernodes), merge
 
 
 def hierarchical_pool(

@@ -8,7 +8,7 @@ class space before the softmax and the mean readout.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,14 +30,7 @@ class PropagationParams:
     bc: Value
 
     def items(self):
-        return [
-            ("prop.w1", self.w1),
-            ("prop.b1", self.b1),
-            ("prop.w2", self.w2),
-            ("prop.b2", self.b2),
-            ("prop.wc", self.wc),
-            ("prop.bc", self.bc),
-        ]
+        return [(f"prop.{f.name}", getattr(self, f.name)) for f in fields(self)]
 
     def constants(self) -> "PropagationParams":
         """The same arrays as constants, so no tape reaches them."""

@@ -39,9 +39,9 @@ class SparseMatrix:
 
     def matmul_dense(self, b: np.ndarray) -> np.ndarray:
         """S @ B for a dense operand."""
-        return np.asarray(self._csr @ b, dtype=np.float64)
+        return self._csr @ b
 
     # Not called in src: perfbench's layer trace wraps this name and fails when it is missing.
     def transpose_matmul_dense(self, b: np.ndarray) -> np.ndarray:
         """S.T @ B for a dense operand."""
-        return np.asarray(self._csr.T @ b, dtype=np.float64)
+        return self._csr.T @ b

@@ -191,9 +191,12 @@ _PHASE_NAMES = {"E": "expectation", "M": "maximization"}
 
 @contextmanager
 def labelled(what: str):
-    """Prefix ``what`` to the message of a NonFinite raised inside."""
+    """Run a numeric pass named ``what``, the one owner of how a non-finite
+    value is reported: numpy's overflow and invalid-value warnings are off,
+    as the op that makes the value raises NonFinite, and ``what`` prefixes it."""
     try:
-        yield
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
     except NonFinite as exc:
         raise NonFinite(f"{what}: {exc}") from exc
 

@@ -558,6 +558,16 @@ def test_eval_divergence_is_labelled_without_numpy_warning(trained, tmp_path, ca
     assert captured.err == "aborted on non-finite loss: test evaluation: matmul: non-finite forward output\n"
 
 
+def test_inspect_trace_divergence_is_labelled_without_numpy_warning(cfg_file, tmp_path, capfd, printed_warnings):
+    path = _huge_toy_dir(tmp_path)
+    rc = main(["inspect", "--dataset", path, "--config", cfg_file, "--graph", "0", "--trace"])
+    captured = capfd.readouterr()
+    assert rc == 2
+    assert captured.out.count("\n") == 1
+    assert json.loads(captured.out)["name"] == "HUGE"
+    assert captured.err == "aborted on non-finite loss: inspect trace: matmul: non-finite forward output\n"
+
+
 class RecordingPool:
     """Stand-in for ProcessPoolExecutor: records its size, runs jobs inline."""
 

@@ -8,6 +8,7 @@ from lgrpool.data import (
     GraphDataset,
     SplitSpec,
     build_normalized_adjacency,
+    canonical_edges,
     emit_tu_dataset,
     iterate_batches,
     parse_tu_dataset,
@@ -24,6 +25,49 @@ def write_dataset(tmp_path, name, files):
     for suffix, text in files.items():
         (d / f"{name}_{suffix}").write_text(text)
     return str(d)
+
+
+# ------------------------------------------------------------ canonical edges
+
+
+def _unique_rows_oracle(ends):
+    return np.unique(np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1), axis=0)
+
+
+def _random_pair_sets(rng, cases):
+    """Random (E, 2) int64 pair sets with their node counts: empty sets,
+    one node, all self-pairs, and dense draws that repeat pairs in both
+    orientations."""
+    for case in range(cases):
+        n = 1 if case % 7 == 0 else int(rng.integers(1, 300))
+        e = 0 if case % 11 == 0 else int(rng.integers(1, 3 * n + 5))
+        ends = rng.integers(0, n, size=(e, 2))
+        if case % 5 == 0:
+            ends[:, 1] = ends[:, 0]
+        elif case % 3 == 0:
+            ends = np.concatenate([ends, ends[:, ::-1], ends])
+        yield ends, n
+
+
+def test_canonical_edges_matches_the_unique_rows_oracle():
+    rng = np.random.default_rng(2024)
+    seen = {"empty": 0, "one node": 0, "self only": 0, "both orientations": 0}
+    for ends, n in _random_pair_sets(rng, 600):
+        got = canonical_edges(ends, n)
+        want = _unique_rows_oracle(ends)
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        seen["empty"] += len(ends) == 0
+        seen["one node"] += n == 1
+        seen["self only"] += len(ends) > 0 and len(got) == 0
+        seen["both orientations"] += bool((ends[:, 0] > ends[:, 1]).any() and len(got) < len(ends))
+    assert min(seen.values()) > 0, seen
+
+
+def test_canonical_edges_takes_a_list_of_pairs():
+    assert canonical_edges([(2, 1), (1, 2), (0, 0), (0, 2)], 3).tolist() == [[0, 2], [1, 2]]
+    assert canonical_edges([], 4).shape == (0, 2)
 
 
 # ------------------------------------------------------------ adjacency

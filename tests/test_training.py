@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -447,6 +448,30 @@ def test_em_train_labels_divergence_outside_the_epochs(monkeypatch, name, failin
     assert str(info.value) == f"{label}: matmul: non-finite forward output"
 
 
+def test_em_train_reports_overflow_as_one_labelled_error_not_a_warning():
+    # Node attributes of 1.7e308 are finite but overflow the first matmul.
+    train, val, test = toy_splits()
+    for split in (train, val, test):
+        for graph in split.graphs:
+            graph.features = np.full_like(graph.features, 1.7e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite) as info:
+            em_train(train, val, test, TOY_CONFIG)
+    assert str(info.value) == "opening regularizer pass: matmul: non-finite forward output"
+
+
+def test_labelled_restores_numpy_error_state():
+    before = np.geterr()
+    with training.labelled("pass"):
+        assert np.geterr()["over"] == np.geterr()["invalid"] == "ignore"
+    assert np.geterr() == before
+    with pytest.raises(NonFinite, match="^pass: boom$"):
+        with training.labelled("pass"):
+            raise NonFinite("boom")
+    assert np.geterr() == before
+
+
 @pytest.mark.parametrize("phase", [expectation_phase, maximization_phase, mean_precor_error])
 def test_empty_train_set_raises_empty_split(phase):
     empty = GraphDataset(graphs=[], num_classes=2, feature_dim=2, name="empty")
@@ -542,6 +567,21 @@ def test_version_2_checkpoint_round_trips_bitwise_and_deterministically(tmp_path
     for name, arr in expected.items():
         assert arrays[name].shape == arr.shape, name
         assert arrays[name].tobytes() == arr.tobytes(), name
+
+
+def test_parameter_names_are_the_checkpoint_key_order(tmp_path):
+    params = init_parameters(3, 4, 2, 2, 0)
+    names = [
+        "prop.w1", "prop.b1", "prop.w2", "prop.b2", "prop.wc", "prop.bc",
+        "pool.0.w", "pool.0.a", "pool.1.w", "pool.1.a",
+    ]
+    assert [name for name, _ in params.items()] == names
+    save_checkpoint(tmp_path / "ckpt.json", params, TOY_CONFIG)
+    assert list(json.loads((tmp_path / "ckpt.json").read_text())["parameters"]) == names
+    frozen = ParameterSet(prop=params.prop.constants(), pool=params.pool.constants())
+    assert [name for name, _ in frozen.items()] == names
+    for (_, live), (_, const) in zip(params.items(), frozen.items()):
+        assert const.data is live.data
 
 
 def test_checkpoint_with_optimizer_block_still_loads(tmp_path):
