@@ -19,7 +19,6 @@ from .errors import (
     NotScalar,
     ParseError,
     ShapeMismatch,
-    SingularMatrix,
 )
 from .model import ParameterSet, init_parameters
 from .sparse import SparseMatrix
@@ -47,7 +46,6 @@ __all__ = [
     "NotScalar",
     "ParseError",
     "ShapeMismatch",
-    "SingularMatrix",
     "ParameterSet",
     "init_parameters",
     "SparseMatrix",

@@ -43,7 +43,3 @@ class NonDeterministic(LgrPoolError):
 
 class LabelOutOfRange(LgrPoolError):
     """A class label lies outside the valid range."""
-
-
-class SingularMatrix(LgrPoolError):
-    """Defensive guard for the dense propagation solve."""

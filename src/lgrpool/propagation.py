@@ -3,8 +3,11 @@
 Feature transformation is decoupled from message passing: the MLP acts
 row-wise on node features, then a fixed-point iteration of the
 personalized-PageRank operator mixes representations over the graph.
-The propagated matrix stays at hidden width; a linear head projects to
-class space before the softmax and the mean readout.
+PPR, the MLP's second layer and the classifier head are all linear, so
+the graph prediction folds the second layer into the head and
+propagates class logits (c columns) rather than hidden features
+(h columns); in exact arithmetic the result is the same. Only pooling
+reads the hidden-width propagated matrix.
 """
 from __future__ import annotations
 
@@ -14,7 +17,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value
-from .errors import SingularMatrix
 from .sparse import SparseMatrix
 
 
@@ -37,12 +39,6 @@ class PropagationParams:
         return PropagationParams(*(ad.constant(v.data) for _, v in self.items()))
 
 
-@dataclass
-class PropagationOutput:
-    z_pre: Value
-    y_pred: Value
-
-
 def init_propagation_params(
     d_in: int, hidden: int, num_classes: int, rng: np.random.Generator
 ) -> PropagationParams:
@@ -61,52 +57,38 @@ def init_propagation_params(
 
 
 def mlp_forward(x: Value, params: PropagationParams) -> Value:
-    """Row-wise two-layer MLP with relu; no neighbor mixing."""
-    h = ad.relu(ad.add(ad.matmul(x, params.w1), params.b1))
-    return ad.add(ad.matmul(h, params.w2), params.b2)
+    """The MLP's hidden layer R = relu(X W1 + b1), row-wise.
+
+    Its second, linear layer (W2, b2) is applied by the reader: at hidden
+    width for pooling's features, folded into the head by ``classify``.
+    """
+    return ad.relu(ad.add(ad.matmul(x, params.w1), params.b1))
 
 
 def ppr_propagate(adj_norm: SparseMatrix, h: Value, alpha: float, k: int) -> Value:
     """k fixed-point iterations Z <- (1-alpha) A Z + alpha H, from Z = H.
 
-    Returns the pre-softmax propagated matrix; the softmax lives on the
-    classification path only. TrainingConfig has checked alpha and k.
+    TrainingConfig has checked alpha and k.
     """
     return ad.ppr(adj_norm, h, alpha, k)
 
 
-def ppr_closed_form(adj_dense: np.ndarray, h: np.ndarray, alpha: float) -> np.ndarray:
-    """Exact fixed point alpha (I - (1-alpha) A)^-1 H via a dense solve.
+def classify(
+    adj_norm: SparseMatrix, r: Value, params: PropagationParams, alpha: float, k: int
+) -> Value:
+    """The graph prediction: mean over nodes of the class probabilities.
 
-    Test oracle only; never used in training.
+    Equals softmax(PPR(R W2 + b2) Wc + bc) averaged over rows, but
+    propagates c columns: logits = PPR(R (W2 Wc) + b2 Wc) + bc. The
+    ``b2 Wc`` row is broadcast before PPR, as the normalized adjacency
+    does not keep constant rows constant.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    n = adj_dense.shape[0]
-    system = np.eye(n) - (1.0 - alpha) * adj_dense
-    try:
-        return np.linalg.solve(system, alpha * h)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(str(exc)) from exc
-
-
-def classify(z_pre: Value, wc: Value, bc: Value):
-    """Per-node class probabilities and their mean as the graph prediction."""
-    probs = ad.softmax_rows(ad.add(ad.matmul(z_pre, wc), bc))
-    y_pred = ad.mean_rows(probs)
-    return probs, y_pred
+    head = ad.matmul(params.w2, params.wc)
+    h = ad.add(ad.matmul(r, head), ad.matmul(params.b2, params.wc))
+    logits = ad.add(ppr_propagate(adj_norm, h, alpha, k), params.bc)
+    return ad.mean_rows(ad.softmax_rows(logits))
 
 
 def expectation_loss(y_pred: Value, y_true: int) -> Value:
     """Cross-entropy of the mean-pooled prediction against the graph label."""
     return ad.cross_entropy_rows(y_pred, [y_true])
-
-
-def propagate_graph(
-    graph, params: PropagationParams, alpha: float, k: int
-) -> PropagationOutput:
-    x = ad.constant(graph.features)
-    h = mlp_forward(x, params)
-    z_pre = ppr_propagate(graph.adj_norm, h, alpha, k)
-    _, y_pred = classify(z_pre, params.wc, params.bc)
-    return PropagationOutput(z_pre=z_pre, y_pred=y_pred)

@@ -24,7 +24,6 @@ from . import model as model_mod
 from .data import GraphDataset, iterate_batches
 from .errors import EmptySplit, NonFinite
 from .model import ParameterSet, init_parameters
-from .propagation import propagate_graph
 
 CHECKPOINT_VERSION = 2
 
@@ -171,18 +170,19 @@ def evaluate(params: ParameterSet, dataset: GraphDataset, config: TrainingConfig
     prop = params.prop.constants()
 
     def correct(graph):
-        out = propagate_graph(graph, prop, config.alpha, config.k)
-        return float(int(np.argmax(out.y_pred.data.ravel())) == graph.label)
+        y_pred = model_mod.predict(graph, prop, config)
+        return float(int(np.argmax(y_pred.data.ravel())) == graph.label)
 
     return _dataset_mean(dataset, correct)
 
 
 def mean_precor_error(dataset: GraphDataset, params: ParameterSet, config: TrainingConfig) -> float:
-    """Dataset-mean |prediction-correction loss|, forward only."""
+    """Dataset-mean |prediction-correction loss|, forward only; no
+    classification is computed."""
     frozen = ParameterSet(prop=params.prop.constants(), pool=params.pool.constants())
     return _dataset_mean(
         dataset,
-        lambda graph: abs(model_mod.graph_total_loss(graph, frozen, config).l_precor.data[0, 0]),
+        lambda graph: abs(model_mod.graph_precor_loss(graph, frozen, config)[0].data[0, 0]),
     )
 
 

@@ -25,7 +25,7 @@ from lgrpool.data import (
 )
 from lgrpool.model import graph_total_loss, init_parameters
 from lgrpool.pooling import contract_graph, hierarchical_pool, normalize_scores
-from lgrpool.propagation import ppr_closed_form, ppr_propagate
+from lgrpool.propagation import ppr_propagate
 from lgrpool.training import (
     TrainingConfig,
     em_train,
@@ -33,6 +33,7 @@ from lgrpool.training import (
     maximization_phase,
 )
 
+from ppr_oracle import ppr_closed_form
 from toydata import make_toy_dataset
 
 

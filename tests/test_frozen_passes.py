@@ -8,7 +8,7 @@ bitwise and the second to rounding.
 import numpy as np
 
 from lgrpool import autodiff as ad
-from lgrpool import model, pooling, training
+from lgrpool import model, pooling, propagation, training
 from lgrpool.data import Graph, build_normalized_adjacency, iterate_batches
 from lgrpool.model import ParameterSet, graph_total_loss, init_parameters
 from lgrpool.pooling import PoolLayerParams, score_edges
@@ -125,25 +125,27 @@ def test_m_phase_pooling_gradients_reach_only_pooling():
 def test_forward_only_passes_build_no_tape(monkeypatch):
     train, val, cfg, (params, _) = trained_pair(1)
     outputs = []
-    real_total, real_propagate = model.graph_total_loss, training.propagate_graph
+    real_precor, real_classify = model.graph_precor_loss, propagation.classify
 
-    def recording_total(*args, **kwargs):
-        losses = real_total(*args, **kwargs)
-        outputs.append(losses.l_tot)
-        return losses
+    def recording_precor(*args, **kwargs):
+        l_precor, trace = real_precor(*args, **kwargs)
+        outputs.append(("precor", l_precor))
+        return l_precor, trace
 
-    def recording_propagate(*args, **kwargs):
-        out = real_propagate(*args, **kwargs)
-        outputs.append(ad.sum_all(out.y_pred))
-        return out
+    def recording_classify(*args, **kwargs):
+        y_pred = real_classify(*args, **kwargs)
+        outputs.append(("classify", ad.sum_all(y_pred)))
+        return y_pred
 
-    monkeypatch.setattr(model, "graph_total_loss", recording_total)
-    monkeypatch.setattr(training, "propagate_graph", recording_propagate)
+    monkeypatch.setattr(model, "graph_precor_loss", recording_precor)
+    monkeypatch.setattr(propagation, "classify", recording_classify)
     params.zero_grad()
     evaluate(params, val, cfg)
     mean_precor_error(train, params, cfg)
-    assert len(outputs) == len(val.graphs) + len(train.graphs)
-    for out in outputs:
+    # Evaluation classifies each graph once; the regularizer pass never does.
+    kinds = [kind for kind, _ in outputs]
+    assert kinds == ["classify"] * len(val.graphs) + ["precor"] * len(train.graphs)
+    for _, out in outputs:
         assert not out.requires_grad and not out._parents
         ad.backward(out)
     for name, p in params.items():

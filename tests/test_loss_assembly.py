@@ -1,10 +1,11 @@
 """`model.graph_total_loss` against the hand assembly it replaced.
 
 The oracle is the loss that `lgrpool gradcheck` used to build by hand:
-MLP, PPR, classifier head, pooling hierarchy and regularizer called one
-by one, with every parameter live and nothing detached. The model's one
-assembly must give the same total loss, the same gradient for every
-parameter and the same supernode counts per layer, all bitwise. The old
+MLP, class-width PPR and head, hidden-width PPR, pooling hierarchy and
+regularizer called one by one, with every parameter live and nothing
+detached. The model's one assembly must give the same total loss, the
+same gradient for every parameter and the same supernode counts per
+layer, all bitwise. The old
 `inspect --trace` path, which pooled a detached copy of the propagated
 features, is kept as the oracle for the trace that command prints.
 """
@@ -22,10 +23,14 @@ from toydata import make_toy_dataset
 
 
 def hand_assembly(graph, ps, alpha, k, s_thre, num_layers, gamma):
-    out_z = propagation.mlp_forward(ad.constant(graph.features), ps.prop)
-    z_pre = propagation.ppr_propagate(graph.adj_norm, out_z, alpha=alpha, k=k)
-    _, y_pred = propagation.classify(z_pre, ps.prop.wc, ps.prop.bc)
+    p = ps.prop
+    r = propagation.mlp_forward(ad.constant(graph.features), p)
+    logits_in = ad.add(ad.matmul(r, ad.matmul(p.w2, p.wc)), ad.matmul(p.b2, p.wc))
+    logits = ad.add(propagation.ppr_propagate(graph.adj_norm, logits_in, alpha=alpha, k=k), p.bc)
+    y_pred = ad.mean_rows(ad.softmax_rows(logits))
     l_exp = propagation.expectation_loss(y_pred, graph.label)
+    h = ad.add(ad.matmul(r, p.w2), p.b2)
+    z_pre = propagation.ppr_propagate(graph.adj_norm, h, alpha=alpha, k=k)
     trace = pooling.hierarchical_pool(graph, z_pre, ps.pool, s_thre, num_layers)
     coarse_edges = trace.layers[-1].coarse_edges if trace.layers else []
     l_precor = pooling.prediction_correction_loss(
@@ -120,9 +125,13 @@ def test_inspect_trace_matches_detached_pooling(tmp_path, capsys):
     params = init_parameters(dataset.feature_dim, 6, dataset.num_classes, 3, seed=0)
     depths = []
     for index, graph in enumerate(dataset.graphs):
-        out = propagation.propagate_graph(graph, params.prop, config.alpha, config.k)
+        p = params.prop
+        r = propagation.mlp_forward(ad.constant(graph.features), p)
+        z_pre = propagation.ppr_propagate(
+            graph.adj_norm, ad.add(ad.matmul(r, p.w2), p.b2), config.alpha, config.k
+        )
         want = pooling.hierarchical_pool(
-            graph, ad.constant(out.z_pre.data), params.pool, config.s_thre, 3
+            graph, ad.constant(z_pre.data), params.pool, config.s_thre, 3
         ).summary()
         argv = ["inspect", "--dataset", str(tmp_path / "TOY"), "--config", str(cfg),
                 "--graph", str(index), "--trace"]

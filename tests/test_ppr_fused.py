@@ -9,7 +9,7 @@ symmetry of `build_normalized_adjacency` is pinned here as well.
 import numpy as np
 
 from lgrpool import autodiff as ad
-from lgrpool import pooling
+from lgrpool import pooling, propagation
 from lgrpool.data import Graph, build_normalized_adjacency
 from lgrpool.model import init_parameters
 from lgrpool.propagation import classify, expectation_loss, mlp_forward, ppr_propagate
@@ -33,13 +33,18 @@ def tape_ppr(adj, h, alpha, k):
     return z
 
 
-def losses(graph, params, alpha, k, s_thre, propagate):
+def losses(graph, params, alpha, k, s_thre):
     """z_pre, l_exp, the pooling trace and a loss whose gradient reaches
-    the propagation parameters through both the head and the regularizer."""
-    h = mlp_forward(ad.constant(graph.features), params.prop)
-    z_pre = propagate(graph.adj_norm, h, alpha, k)
-    _, y_pred = classify(z_pre, params.prop.wc, params.prop.bc)
-    l_exp = expectation_loss(y_pred, graph.label)
+    the propagation parameters through both the head and the regularizer.
+
+    Both propagations, the class-width one inside ``classify`` and the
+    hidden-width one that pooling reads, call ``propagation.ppr_propagate``.
+    """
+    p = params.prop
+    r = mlp_forward(ad.constant(graph.features), p)
+    l_exp = expectation_loss(classify(graph.adj_norm, r, p, alpha, k), graph.label)
+    h = ad.add(ad.matmul(r, p.w2), p.b2)
+    z_pre = propagation.ppr_propagate(graph.adj_norm, h, alpha, k)
     trace = pooling.hierarchical_pool(graph, z_pre, params.pool, s_thre, NUM_LAYERS)
     coarse_edges = trace.layers[-1].coarse_edges if trace.layers else []
     l_precor = pooling.prediction_correction_loss(trace.z_cor, z_pre, trace.composed_map, coarse_edges)
@@ -60,7 +65,7 @@ def random_graph(rng, kind):
     )
 
 
-def test_fused_ppr_matches_tape_path_on_random_graphs():
+def test_fused_ppr_matches_tape_path_on_random_graphs(monkeypatch):
     kinds = ["single node", "edgeless", "no survivor", "pooled", "pooled"]
     seen = set()
     for trial in range(300):
@@ -73,7 +78,8 @@ def test_fused_ppr_matches_tape_path_on_random_graphs():
         runs = []
         for propagate in (ppr_propagate, tape_ppr):
             params = init_parameters(3, 6, 3, NUM_LAYERS, seed=trial)
-            z_pre, l_exp, trace, l_tot = losses(graph, params, alpha, k, s_thre, propagate)
+            monkeypatch.setattr(propagation, "ppr_propagate", propagate)
+            z_pre, l_exp, trace, l_tot = losses(graph, params, alpha, k, s_thre)
             ad.backward(l_tot)
             grads = [p.grad for _, p in params.prop.items()]
             counts = [lt.merge.num_supernodes for lt in trace.layers]

@@ -10,9 +10,10 @@ from lgrpool.propagation import (
     expectation_loss,
     init_propagation_params,
     mlp_forward,
-    ppr_closed_form,
     ppr_propagate,
 )
+
+from ppr_oracle import ppr_closed_form
 
 
 def zero_params(d_in=3, hidden=4, num_classes=2):
@@ -43,7 +44,6 @@ def test_mlp_zero_parameters_give_zero():
 def test_mlp_identity_composition():
     params = zero_params(d_in=4, hidden=4)
     params.w1 = ad.parameter(np.eye(4))
-    params.w2 = ad.parameter(np.eye(4))
     x = np.abs(np.random.default_rng(0).normal(size=(6, 4)))
     out = mlp_forward(ad.constant(x), params)
     np.testing.assert_allclose(out.data, x)
@@ -140,40 +140,56 @@ def test_ppr_validates_alpha_and_k():
 # -------------------------------------------------------------- classify
 
 
+def random_head(rng, d_in=3, hidden=4, num_classes=3):
+    """Random propagation parameters with nonzero biases."""
+    params = init_propagation_params(d_in, hidden, num_classes, rng)
+    params.b2 = ad.parameter(rng.normal(size=(1, hidden)))
+    params.bc = ad.parameter(rng.normal(size=(1, num_classes)))
+    return params
+
+
 def test_classify_single_node_mean():
     rng = np.random.default_rng(6)
-    z = ad.constant(rng.normal(size=(1, 4)))
-    wc = ad.constant(rng.normal(size=(4, 3)))
-    bc = ad.constant(np.zeros((1, 3)))
-    probs, y_pred = classify(z, wc, bc)
-    np.testing.assert_allclose(y_pred.data, probs.data)
+    params = random_head(rng)
+    r = ad.constant(np.abs(rng.normal(size=(1, 4))))
+    y_pred = classify(build_normalized_adjacency(1, []), r, params, 0.3, 5)
+    logits = (r.data @ params.w2.data + params.b2.data) @ params.wc.data + params.bc.data
+    want = np.exp(logits - logits.max())
+    np.testing.assert_allclose(y_pred.data, want / want.sum(), atol=1e-12)
 
 
 def test_classify_zero_head_is_uniform():
-    z = ad.constant(np.random.default_rng(7).normal(size=(5, 4)))
-    probs, y_pred = classify(z, ad.constant(np.zeros((4, 2))), ad.constant(np.zeros((1, 2))))
+    rng = np.random.default_rng(7)
+    params = random_head(rng, num_classes=2)
+    params.wc = ad.parameter(np.zeros((4, 2)))
+    params.bc = ad.parameter(np.zeros((1, 2)))
+    r = ad.constant(np.abs(rng.normal(size=(5, 4))))
+    y_pred = classify(random_adjacency(rng, 5), r, params, 0.3, 4)
     np.testing.assert_allclose(y_pred.data, [[0.5, 0.5]], atol=1e-12)
-    np.testing.assert_allclose(probs.data, 0.5, atol=1e-12)
 
 
 def test_classify_rows_are_distributions():
     rng = np.random.default_rng(8)
-    probs, y_pred = classify(
-        ad.constant(rng.normal(size=(6, 4)) * 5),
-        ad.constant(rng.normal(size=(4, 3))),
-        ad.constant(rng.normal(size=(1, 3))),
-    )
-    np.testing.assert_allclose(probs.data.sum(axis=1), 1.0, atol=1e-9)
+    params = random_head(rng)
+    r = ad.constant(np.abs(rng.normal(size=(6, 4))) * 5)
+    y_pred = classify(random_adjacency(rng, 6), r, params, 0.3, 4)
+    assert y_pred.data.shape == (1, 3)
+    assert np.all(y_pred.data >= 0.0)
     np.testing.assert_allclose(y_pred.data.sum(), 1.0, atol=1e-9)
 
 
 def test_classify_invariant_under_node_duplication():
+    """A graph and its disjoint union with itself predict the same."""
     rng = np.random.default_rng(9)
-    z = rng.normal(size=(4, 3))
-    wc = ad.constant(rng.normal(size=(3, 2)))
-    bc = ad.constant(rng.normal(size=(1, 2)))
-    _, single = classify(ad.constant(z), wc, bc)
-    _, doubled = classify(ad.constant(np.vstack([z, z])), wc, bc)
+    n = 4
+    edges = [(0, 1), (1, 2), (1, 3)]
+    doubled_edges = edges + [(i + n, j + n) for i, j in edges]
+    params = random_head(rng, num_classes=2)
+    r = np.abs(rng.normal(size=(n, 4)))
+    single = classify(build_normalized_adjacency(n, edges), ad.constant(r), params, 0.3, 6)
+    doubled = classify(
+        build_normalized_adjacency(2 * n, doubled_edges), ad.constant(np.vstack([r, r])), params, 0.3, 6
+    )
     np.testing.assert_allclose(doubled.data, single.data, atol=1e-12)
 
 
