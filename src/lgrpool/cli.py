@@ -1,4 +1,5 @@
-"""Command-line driver: train, eval, gradcheck, ablate, inspect.
+"""Command-line driver: train, eval, gradcheck, ablate, inspect; with
+`--graph N`, inspect traces graph N's pooling under untrained seed-0 parameters.
 
 Outputs are plain UTF-8 JSON and CSV. A run manifest (command, config,
 dataset, seeds, input content hash, output directory) is written before
@@ -25,7 +26,7 @@ from . import data as data_mod
 from . import training
 from .data import SplitSpec, parse_tu_dataset, split_dataset
 from .errors import LgrPoolError, NonFinite
-from .model import graph_total_loss, init_parameters
+from .model import graph_precor_loss, graph_total_loss
 from .training import TrainingConfig
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -137,10 +138,15 @@ def write_manifest(out_dir, command, config, dataset_name, dataset_path, seeds):
         "input_hash": hash_inputs(dataset_path, config),
         "out_dir": os.path.abspath(out_dir),
     }
-    with training.atomic_write(os.path.join(out_dir, "manifest.json")) as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
+
+
+def _write_json(path, obj) -> None:
+    """The JSON artifact format: written atomically, indented, keys sorted, newline-terminated."""
+    with training.atomic_write(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def read_manifest(out_dir):
@@ -174,6 +180,15 @@ def default_out_dir(command: str, dataset_name: str, config: TrainingConfig, see
         key.append(list(gammas))
     tag = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()[:8]
     return os.path.join("runs", f"{command}-{dataset_name}-{tag}")
+
+
+def _open_run(command: str, args, config: TrainingConfig, seeds, gammas=None):
+    """Parse the dataset, make ``--out`` or the default and write its manifest."""
+    dataset, dataset_path = _load_dataset(args.dataset)
+    out_dir = args.out or default_out_dir(command, dataset.name, config, seeds, gammas)
+    os.makedirs(out_dir, exist_ok=True)
+    write_manifest(out_dir, command, config, dataset.name, dataset_path, seeds)
+    return dataset, out_dir
 
 
 # ------------------------------------------------------------------ training
@@ -233,10 +248,7 @@ def _summary(per_seed: dict) -> dict:
 def cmd_train(args) -> int:
     config = load_config(args.config, {"gamma": args.gamma})
     seeds = parse_seeds(args.seeds)
-    dataset, dataset_path = _load_dataset(args.dataset)
-    out_dir = args.out or default_out_dir("train", dataset.name, config, seeds)
-    os.makedirs(out_dir, exist_ok=True)
-    write_manifest(out_dir, "train", config, dataset.name, dataset_path, seeds)
+    dataset, out_dir = _open_run("train", args, config, seeds)
     results = _run_jobs(
         _train_one_seed,
         [(dataset, config.with_overrides(seed=seed), out_dir) for seed in seeds],
@@ -245,9 +257,7 @@ def cmd_train(args) -> int:
     per_seed = {seed: acc for seed, acc, _ in results}
     summary = _summary(per_seed)
     summary["wall_clock_s"] = float(sum(wc for _, _, wc in results))
-    with training.atomic_write(os.path.join(out_dir, "summary.json")) as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "summary.json"), summary)
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -280,11 +290,7 @@ def cmd_ablate(args) -> int:
     gammas = parse_gammas(args.gamma) if args.gamma else list(DEFAULT_GAMMA_GRID)
     # Building the job configs checks every gamma before the dataset is read.
     job_configs = [config.with_overrides(gamma=g, seed=s) for g in gammas for s in seeds]
-    dataset, dataset_path = _load_dataset(args.dataset)
-    out_dir = args.out or default_out_dir("ablate", dataset.name, config, seeds, gammas)
-    os.makedirs(out_dir, exist_ok=True)
-    write_manifest(out_dir, "ablate", config, dataset.name, dataset_path, seeds)
-
+    dataset, out_dir = _open_run("ablate", args, config, seeds, gammas)
     results = _run_jobs(_ablate_one, [(dataset, job) for job in job_configs], args.jobs)
     rows = []
     for gamma in gammas:
@@ -298,20 +304,13 @@ def cmd_ablate(args) -> int:
 def cmd_inspect(args) -> int:
     dataset, _ = _load_dataset(args.dataset)
     print(json.dumps(dataset.summary(), sort_keys=True))
-    if args.trace:
-        if args.graph is None or not (0 <= args.graph < len(dataset.graphs)):
-            raise ValueError("--trace needs --graph N with N inside the dataset")
-        config = load_config(args.config, {})
-        graph = dataset.graphs[args.graph]
-        params = init_parameters(
-            dataset.feature_dim,
-            config.hidden,
-            dataset.num_classes,
-            config.num_pooling_layers,
-            seed=0,
-        )
+    if args.graph is not None:
+        if not 0 <= args.graph < len(dataset):
+            raise ValueError(f"--graph {args.graph} is outside the dataset's {len(dataset)} graphs")
+        config = load_config(args.config, {}).with_overrides(seed=0)
+        params = training.initial_parameters(dataset, config)
         with training.labelled("inspect trace"):
-            trace = graph_total_loss(graph, params, config).trace
+            _, trace = graph_precor_loss(dataset.graphs[args.graph], params, config)
         print(json.dumps(trace.summary(), sort_keys=True))
     return 0
 
@@ -401,16 +400,16 @@ def full_loss_target(eps: float):
     discrete structure constant under the perturbations the checker
     applies.
     """
-    graph = _gradcheck_graph()
+    dataset = data_mod.GraphDataset([_gradcheck_graph()], num_classes=3, feature_dim=4, name="gradcheck")
     config = TrainingConfig(alpha=0.3, k=4, s_thre=0.5, num_pooling_layers=2, gamma=0.2, hidden=5)
     margin = max(1e-4, 10.0 * eps)
 
     def build_loss(params_set):
-        losses = graph_total_loss(graph, params_set, config)
+        losses = graph_total_loss(dataset.graphs[0], params_set, config)
         return losses.l_tot, losses.trace
 
     for seed in range(400):
-        params_set = init_parameters(4, config.hidden, 3, config.num_pooling_layers, seed)
+        params_set = training.initial_parameters(dataset, config.with_overrides(seed=seed))
         _, trace = build_loss(params_set)
         if trace.effective_depth != config.num_pooling_layers:
             continue
@@ -508,8 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inspect = sub.add_parser("inspect")
     common(p_inspect)
-    p_inspect.add_argument("--graph", type=int, default=None)
-    p_inspect.add_argument("--trace", action="store_true")
+    p_inspect.add_argument("--graph", type=int, default=None, help="also print this graph's pooling trace")
     p_inspect.set_defaults(fn=cmd_inspect)
 
     return parser

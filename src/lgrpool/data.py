@@ -149,32 +149,29 @@ def _read_table(path: str, dtype, columns: int | None = None, optional: bool = F
     or as many as the first row when that is None. Returns None for a
     missing optional file.
     """
-    if optional and not os.path.isfile(path):
-        return None
-    try:  # numpy's C reader on the path, decoding latin1 as it does the byte lines below
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            values = np.loadtxt(path, dtype, delimiter=",", comments=None, ndmin=2, encoding="latin1")
-        if columns in (None, values.shape[1]):
-            return values
-    except (OSError, ValueError, Warning):  # missing, empty or malformed, or a whitespace-only line
-        pass
-    try:
-        with open(path, "rb") as fh:
-            rows = list(filter(bytes.strip, fh.read().splitlines()))
-    except OSError as exc:
-        raise ParseError(f"missing mandatory file: {path}") from exc
-    if not rows:  # loadtxt warns on empty input
-        return np.empty((0, columns or 1), dtype=dtype)
+    if not os.path.isfile(path):
+        if optional:
+            return None
+        raise ParseError(f"missing mandatory file: {path}")
 
-    def load(part):
+    def load(source):
+        """numpy's C reader, decoding latin1, a warning counting as a failure;
+        None on failure or a wrong column count."""
         try:
-            values = np.loadtxt(part, dtype=dtype, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = np.loadtxt(source, dtype, delimiter=",", comments=None, ndmin=2, encoding="latin1")
+        except (ValueError, Warning):  # empty or malformed, or a whitespace-only line
             return None
         return values if columns in (None, values.shape[1]) else None
 
-    values = load(rows)
+    values = load(path)  # one pass over the file; only a file it rejects is read line by line
+    if values is None:
+        with open(path, "rb") as fh:
+            rows = list(filter(bytes.strip, fh.read().splitlines()))
+        if not rows:  # loadtxt warns on empty input
+            return np.empty((0, columns or 1), dtype=dtype)
+        values = load(rows)
     if values is not None:
         return values
     good, bad = 0, len(rows)  # rows[:good] load and rows[:bad] do not

@@ -112,10 +112,10 @@ def graph_precor_loss(graph: Graph, params: ParameterSet, config) -> tuple[Value
 def graph_total_loss(graph: Graph, params: ParameterSet, config) -> GraphLosses:
     """Full tape: expectation loss plus weighted alignment regularizer.
 
-    Training, gradcheck and ``inspect --trace`` all call this one
-    assembly. The caller freezes θ by passing ``params.prop.constants()``,
-    as the M phase does; the regularizer's gradient then reaches only
-    the pooling parameters.
+    Training and gradcheck call this one assembly; ``inspect --graph``
+    runs its regularizer half. The caller freezes θ by passing
+    ``params.prop.constants()``, as the M phase does; the regularizer's
+    gradient then reaches only the pooling parameters.
     """
     r = _hidden(graph, params.prop)
     y_pred = propagation.classify(graph.adj_norm, r, params.prop, config.alpha, config.k)

@@ -95,6 +95,13 @@ class TrainingConfig:
         return cls(**values)
 
 
+def initial_parameters(dataset: GraphDataset, config: TrainingConfig) -> ParameterSet:
+    """Untrained parameters at the dataset's and the config's widths, drawn from ``config.seed``."""
+    return init_parameters(
+        dataset.feature_dim, config.hidden, dataset.num_classes, config.num_pooling_layers, config.seed
+    )
+
+
 def lr_schedule(epoch: int, lr0: float) -> float:
     """Decay by 0.95 every 10 epochs."""
     if epoch < 0:
@@ -309,13 +316,7 @@ def em_train(train: GraphDataset, val: GraphDataset, test: GraphDataset, config:
     t0 = time.perf_counter()
     if not train.graphs or not val.graphs or not test.graphs:
         raise EmptySplit("em_train requires non-empty train/val/test splits")
-    params = init_parameters(
-        train.feature_dim,
-        config.hidden,
-        train.num_classes,
-        config.num_pooling_layers,
-        config.seed,
-    )
+    params = initial_parameters(train, config)
     prop_state = pool_state = None
     metrics = RunMetrics()
 
@@ -445,12 +446,6 @@ def load_checkpoint(path):
 
 def restore_parameters(dataset: GraphDataset, config: TrainingConfig, arrays: dict) -> ParameterSet:
     """Rebuild a ParameterSet shaped for the dataset and load arrays into it."""
-    params = init_parameters(
-        dataset.feature_dim,
-        config.hidden,
-        dataset.num_classes,
-        config.num_pooling_layers,
-        config.seed,
-    )
+    params = initial_parameters(dataset, config)
     params.load_snapshot(arrays)
     return params

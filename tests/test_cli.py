@@ -9,7 +9,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from lgrpool import cli
+from lgrpool import cli, propagation
 from lgrpool.cli import (
     load_config,
     main,
@@ -560,7 +560,7 @@ def test_eval_divergence_is_labelled_without_numpy_warning(trained, tmp_path, ca
 
 def test_inspect_trace_divergence_is_labelled_without_numpy_warning(cfg_file, tmp_path, capfd, printed_warnings):
     path = _huge_toy_dir(tmp_path)
-    rc = main(["inspect", "--dataset", path, "--config", cfg_file, "--graph", "0", "--trace"])
+    rc = main(["inspect", "--dataset", path, "--config", cfg_file, "--graph", "0"])
     captured = capfd.readouterr()
     assert rc == 2
     assert captured.out.count("\n") == 1
@@ -764,7 +764,7 @@ def test_inspect_summary(toy_dir, capsys):
 
 def test_inspect_trace(toy_dir, cfg_file, capsys):
     rc = main(
-        ["inspect", "--dataset", toy_dir, "--config", cfg_file, "--graph", "0", "--trace"]
+        ["inspect", "--dataset", toy_dir, "--config", cfg_file, "--graph", "0"]
     )
     assert rc == 0
     lines = capsys.readouterr().out.strip().split("\n")
@@ -781,8 +781,43 @@ def test_inspect_rejects_out_option(toy_dir, tmp_path, capsys):
 
 
 def test_inspect_trace_requires_valid_graph_index(toy_dir, capsys):
-    assert main(["inspect", "--dataset", toy_dir, "--trace"]) == 1
-    assert main(["inspect", "--dataset", toy_dir, "--graph", "99", "--trace"]) == 1
+    assert main(["inspect", "--dataset", toy_dir, "--graph", "-1"]) == 1
+    assert main(["inspect", "--dataset", toy_dir, "--graph", "99"]) == 1
+
+
+def test_inspect_out_of_range_graph_names_the_graph_count(toy_dir, capsys):
+    assert main(["inspect", "--dataset", toy_dir, "--graph", "10"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["graphs"] == 10
+    assert captured.err == "error: --graph 10 is outside the dataset's 10 graphs\n"
+
+
+def test_inspect_graph_traces_the_regularizer_without_classifying(toy_dir, cfg_file, monkeypatch, capsys):
+    argv = ["inspect", "--dataset", toy_dir, "--config", cfg_file, "--graph", "0"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+
+    def no_classify(*args, **kwargs):
+        raise AssertionError("inspect --graph computed a classification")
+
+    monkeypatch.setattr(propagation, "classify", no_classify)
+    assert main(argv) == 0
+    got = capsys.readouterr().out
+    assert got == want
+    summary, trace = got.splitlines()
+    assert json.loads(summary)["name"] == "TOY"
+    assert "effective_depth" in json.loads(trace)
+
+
+def test_inspect_graph_traces_seed_zero_parameters_whatever_the_config_seed(toy_dir, tmp_path, capsys):
+    outputs = []
+    for extra in ("", "seed = 5\n"):
+        cfg = tmp_path / f"seed{len(extra)}.cfg"
+        cfg.write_text(CONFIG_TEXT + extra)
+        assert main(["inspect", "--dataset", toy_dir, "--config", str(cfg), "--graph", "3"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") == 2
 
 
 def test_inspect_rejects_graph_ids_out_of_order(tmp_path, capsys):

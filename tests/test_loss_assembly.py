@@ -134,7 +134,7 @@ def test_inspect_trace_matches_detached_pooling(tmp_path, capsys):
             graph, ad.constant(z_pre.data), params.pool, config.s_thre, 3
         ).summary()
         argv = ["inspect", "--dataset", str(tmp_path / "TOY"), "--config", str(cfg),
-                "--graph", str(index), "--trace"]
+                "--graph", str(index)]
         assert cli.main(argv) == 0
         printed = capsys.readouterr().out.strip().split("\n")[1]
         assert printed == json.dumps(want, sort_keys=True), index
