@@ -2,9 +2,10 @@
 `--graph N`, inspect traces graph N's pooling under untrained seed-0 parameters.
 
 Outputs are plain UTF-8 JSON and CSV. A run manifest (command, config,
-dataset, seeds, input content hash, output directory) is written before
-any training starts, so a directory of artifacts is self-describing and
-re-runs with identical inputs overwrite it with identical bytes.
+dataset, seeds, ablate's gamma grid, input content hash, output directory)
+is written before any training starts, so a directory of artifacts is
+self-describing and re-runs with identical inputs overwrite it with
+identical bytes.
 
 Exit codes: 0 success, 1 argument/config/dataset/path problems, 2 a
 non-finite loss aborted training, 3 gradient checks failed.
@@ -129,7 +130,7 @@ def hash_inputs(dataset_dir: str, config: TrainingConfig) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(out_dir, command, config, dataset_name, dataset_path, seeds):
+def write_manifest(out_dir, command, config, dataset_name, dataset_path, seeds, gammas=None):
     manifest = {
         "command": command,
         "config": config.to_dict(),
@@ -138,6 +139,8 @@ def write_manifest(out_dir, command, config, dataset_name, dataset_path, seeds):
         "input_hash": hash_inputs(dataset_path, config),
         "out_dir": os.path.abspath(out_dir),
     }
+    if gammas is not None:
+        manifest["gammas"] = list(gammas)
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
 
@@ -154,13 +157,7 @@ def read_manifest(out_dir):
     path = os.path.join(out_dir, "manifest.json")
     if not os.path.isfile(path):
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"manifest is not valid JSON: {path}: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise ValueError(f"manifest is not a JSON object: {path}")
+    manifest = training.read_json_object(path, "manifest")
     dataset = manifest.get("dataset", {"path": ""})
     if not (isinstance(dataset, dict) and isinstance(dataset.get("path"), str)):
         raise ValueError(f"manifest dataset is not an object with a string path: {path}")
@@ -187,7 +184,7 @@ def _open_run(command: str, args, config: TrainingConfig, seeds, gammas=None):
     dataset, dataset_path = _load_dataset(args.dataset)
     out_dir = args.out or default_out_dir(command, dataset.name, config, seeds, gammas)
     os.makedirs(out_dir, exist_ok=True)
-    write_manifest(out_dir, command, config, dataset.name, dataset_path, seeds)
+    write_manifest(out_dir, command, config, dataset.name, dataset_path, seeds, gammas)
     return dataset, out_dir
 
 
@@ -296,7 +293,7 @@ def cmd_ablate(args) -> int:
     for gamma in gammas:
         accs = [acc for g, _, acc in results if g == gamma]
         rows.append((gamma, float(np.mean(accs)), float(np.std(accs))))
-    training.write_gamma_csv(os.path.join(out_dir, "gamma_ablation.csv"), rows)
+    training.write_csv(os.path.join(out_dir, "gamma_ablation.csv"), ["gamma", "mean_acc", "std_acc"], rows)
     print(json.dumps({f"{g:.12g}": mean for g, mean, _ in rows}, sort_keys=True))
     return 0
 

@@ -15,7 +15,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -353,10 +353,6 @@ def em_train(train: GraphDataset, val: GraphDataset, test: GraphDataset, config:
 # ----------------------------------------------------------------- artifacts
 
 
-def _fmt(x) -> str:
-    return "" if x is None else f"{x:.12g}"
-
-
 @contextmanager
 def atomic_write(path):
     """Text handle on a temp file beside ``path`` that replaces it on success.
@@ -374,23 +370,19 @@ def atomic_write(path):
             os.remove(tmp)
 
 
+def _cell(value) -> str:
+    return "" if value is None else (f"{value:.12g}" if isinstance(value, float) else str(value))
+
+
+def write_csv(path, header, rows) -> None:
+    """The CSV artifact format, written atomically: None is an empty cell, a float is .12g."""
+    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_metrics_csv(path, metrics: RunMetrics) -> None:
-    lines = ["epoch,phase,em_round,l_exp,l_precor,l_tot,val_acc"]
-    for r in metrics.epochs:
-        lines.append(
-            f"{r.epoch},{r.phase},{r.em_round},{_fmt(r.l_exp)},"
-            f"{_fmt(r.l_precor)},{_fmt(r.l_tot)},{_fmt(r.val_acc)}"
-        )
-    with atomic_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_gamma_csv(path, rows) -> None:
-    lines = ["gamma,mean_acc,std_acc"]
-    for gamma, mean, std in rows:
-        lines.append(f"{_fmt(gamma)},{_fmt(mean)},{_fmt(std)}")
-    with atomic_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, [f.name for f in fields(EpochRecord)], map(astuple, metrics.epochs))
 
 
 def save_checkpoint(path, params: ParameterSet, config: TrainingConfig) -> None:
@@ -421,15 +413,21 @@ def _decode_array(name: str, value, version: int) -> np.ndarray:
     return arr
 
 
-def load_checkpoint(path):
-    """Returns (config, parameter arrays by name); other keys are ignored."""
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in ``path``, else a ValueError naming ``what`` and the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
+            obj = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"checkpoint is not valid JSON: {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValueError(f"checkpoint is not a JSON object: {path}")
+            raise ValueError(f"{what} is not valid JSON: {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} is not a JSON object: {path}")
+    return obj
+
+
+def load_checkpoint(path):
+    """Returns (config, parameter arrays by name); other keys are ignored."""
+    payload = read_json_object(path, "checkpoint")
     version = payload.get("format_version")
     if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
         raise ValueError(f"unsupported checkpoint version {version!r}")

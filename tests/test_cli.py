@@ -9,7 +9,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from lgrpool import cli, propagation
+from lgrpool import cli, propagation, training
 from lgrpool.cli import (
     load_config,
     main,
@@ -674,6 +674,51 @@ def test_ablate_default_out_dir_depends_on_the_gamma_grid(toy_dir, cfg_file, tmp
     assert len(runs) == 2 and all(r.startswith("ablate-TOY-") for r in runs)
     grids = {(tmp_path / "runs" / r / "gamma_ablation.csv").read_text().split("\n")[1].split(",")[0] for r in runs}
     assert grids == {"0.1", "0.3"}
+
+
+def test_ablate_manifest_names_the_gamma_grid(trained, toy_dir, cfg_file, tmp_path):
+    out = tmp_path / "ablate"
+    rc = main(
+        ["ablate", "--dataset", toy_dir, "--config", cfg_file, "--seeds", "0", "--gamma", "0.1,0.3",
+         "--out", str(out)]
+    )
+    assert rc == 0
+    assert json.loads((out / "manifest.json").read_text())["gammas"] == [0.1, 0.3]
+    with open(os.path.join(trained, "manifest.json")) as fh:
+        assert "gammas" not in json.load(fh)
+
+
+def test_metrics_and_ablation_csv_bytes(toy_dir, cfg_file, tmp_path, monkeypatch, capsys):
+    metrics = training.RunMetrics(
+        epochs=[
+            training.EpochRecord(0, "E", 1, 1 / 3),
+            training.EpochRecord(
+                1, "M", 1, np.float64(2 / 3), np.float64(-1234.56789012345678), np.float64(1e-13 / 3), 1.0
+            ),
+            training.EpochRecord(2, "E", 2, 2.5, None, None, 0.875),
+        ]
+    )
+    path = tmp_path / "metrics.csv"
+    training.write_metrics_csv(path, metrics)
+    assert path.read_text() == (
+        "epoch,phase,em_round,l_exp,l_precor,l_tot,val_acc\n"
+        "0,E,1,0.333333333333,,,\n"
+        "1,M,1,0.666666666667,-1234.56789012,3.33333333333e-14,1\n"
+        "2,E,2,2.5,,,0.875\n"
+    )
+
+    # Per-seed accuracies whose mean and std are the rows (0.1, 0.875, 0.125) and (0.3, 1/3, 0.0).
+    accs = {(0.1, 0): 0.75, (0.1, 1): 1.0, (0.3, 0): 1 / 3, (0.3, 1): 1 / 3}
+    monkeypatch.setattr(
+        cli, "_run_jobs", lambda worker, jobs, n: [(c.gamma, c.seed, accs[c.gamma, c.seed]) for _, c in jobs]
+    )
+    out = tmp_path / "ablate"
+    rc = main(
+        ["ablate", "--dataset", toy_dir, "--config", cfg_file, "--seeds", "0,1", "--gamma", "0.1,0.3",
+         "--out", str(out)]
+    )
+    assert rc == 0
+    assert (out / "gamma_ablation.csv").read_text() == "gamma,mean_acc,std_acc\n0.1,0.875,0.125\n0.3,0.333333333333,0\n"
 
 
 def _ablate_artifact(toy_dir, cfg, out, jobs, capfd):
