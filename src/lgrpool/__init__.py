@@ -1,6 +1,13 @@
 """Hierarchical graph pooling aligned with personalized-PageRank
 propagation, trained by alternating expectation and maximization phases.
 """
+import os
+
+# Per-graph BLAS calls are too small to gain from threads, and --jobs N already runs N processes.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
+
 from .data import (
     Graph,
     GraphDataset,

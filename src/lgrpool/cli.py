@@ -305,7 +305,7 @@ def cmd_inspect(args) -> int:
         if not 0 <= args.graph < len(dataset):
             raise ValueError(f"--graph {args.graph} is outside the dataset's {len(dataset)} graphs")
         config = load_config(args.config, {}).with_overrides(seed=0)
-        params = training.initial_parameters(dataset, config)
+        params = training.initial_parameters(dataset, config).constants()
         with training.labelled("inspect trace"):
             _, trace = graph_precor_loss(dataset.graphs[args.graph], params, config)
         print(json.dumps(trace.summary(), sort_keys=True))
@@ -313,14 +313,6 @@ def cmd_inspect(args) -> int:
 
 
 # ----------------------------------------------------------------- gradcheck
-
-
-def _sigmoid_wrong_derivative(a):
-    """ad.sigmoid whose backward drops the (1 - out) factor; used only to
-    prove the checker catches a broken derivative."""
-    out = ad.sigmoid(a)
-    out._parents = [(a, lambda g, y=out.data: g * y)]
-    return out
 
 
 def _sum_sq(op):
@@ -353,7 +345,7 @@ PRIMITIVE_TARGETS = (
 )
 
 
-def primitive_targets(inject_fault: bool = False):
+def primitive_targets():
     """One (name, builder, params) triple per row of PRIMITIVE_TARGETS.
 
     Each builder reduces the primitive's output to a scalar via sum_all
@@ -363,8 +355,6 @@ def primitive_targets(inject_fault: bool = False):
     """
     targets = []
     for name, builder, shapes in PRIMITIVE_TARGETS:
-        if inject_fault and name == "sigmoid":
-            builder = _sum_sq(_sigmoid_wrong_derivative)
         rng = np.random.default_rng(list(name.encode()))
         draws = {key: rng.uniform(-1.8, 1.8, size=shape) for key, shape in shapes.items()}
         params = {key: ad.parameter(d + np.copysign(0.2, d)) for key, d in draws.items()}
@@ -417,21 +407,21 @@ def full_loss_target(eps: float):
     raise RuntimeError("no admissible gradcheck fixture found")
 
 
-def _gradcheck_targets(eps: float, inject_fault: bool = False):
+def _gradcheck_targets(eps: float):
     """(label, builder, params) for every primitive, then for each block of
     the full loss. Lazy, so grad_check rejects a bad eps on the first
     primitive before the full-loss fixture search runs with that eps."""
-    for name, builder, params in primitive_targets(inject_fault=inject_fault):
+    for name, builder, params in primitive_targets():
         yield f"primitive {name}", builder, params
     loss, params_set = full_loss_target(eps)
     for block, value in params_set.items():
         yield f"l_tot {block}", lambda _ps: loss(params_set), {block: value}
 
 
-def run_gradcheck(eps: float, inject_fault: bool = False, stream=None) -> int:
+def run_gradcheck(eps: float, stream=None) -> int:
     stream = stream or sys.stdout
     failed = []
-    for label, builder, params in _gradcheck_targets(eps, inject_fault):
+    for label, builder, params in _gradcheck_targets(eps):
         err = ad.grad_check(builder, params, eps=eps)
         status = "ok" if err <= GRADCHECK_TOLERANCE else "FAIL"
         print(f"{label}: max_rel_err={err:.3e} {status}", file=stream)
@@ -445,7 +435,7 @@ def run_gradcheck(eps: float, inject_fault: bool = False, stream=None) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    return run_gradcheck(args.eps, inject_fault=args.inject_fault)
+    return run_gradcheck(args.eps)
 
 
 # ---------------------------------------------------------------- entrypoint
@@ -498,8 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_grad = sub.add_parser("gradcheck")
     p_grad.add_argument("--eps", type=float, default=1e-6)
-    p_grad.add_argument("--inject-fault", action="store_true", dest="inject_fault",
-                        help="corrupt one derivative to exercise the failure path")
     p_grad.set_defaults(fn=cmd_gradcheck)
 
     p_inspect = sub.add_parser("inspect")

@@ -32,6 +32,10 @@ class ParameterSet:
     def items(self):
         return self.prop.items() + self.pool.items()
 
+    def constants(self) -> "ParameterSet":
+        """Both groups as constants, for a forward-only pass that builds no tape."""
+        return ParameterSet(self.prop.constants(), self.pool.constants())
+
     def zero_grad(self) -> None:
         for _, value in self.items():
             value.zero_grad()

@@ -20,6 +20,7 @@ from . import autodiff as ad
 from .autodiff import Value
 # build_normalized_adjacency is not called here: perfbench's layer trace wraps it.
 from .data import build_normalized_adjacency, canonical_edges  # noqa: F401
+from .propagation import glorot
 
 GATE_FLOOR = 1e-6
 SPREAD_CLAMP = 10.0
@@ -50,17 +51,12 @@ class PoolingParams:
 def init_pooling_params(
     hidden: int, num_layers: int, rng: np.random.Generator
 ) -> PoolingParams:
-    layers = []
-    for _ in range(num_layers):
-        lim_w = np.sqrt(6.0 / (2 * hidden))
-        lim_a = np.sqrt(6.0 / (2 * hidden + 1))
-        layers.append(
-            PoolLayerParams(
-                w=ad.parameter(rng.uniform(-lim_w, lim_w, size=(hidden, hidden))),
-                a=ad.parameter(rng.uniform(-lim_a, lim_a, size=(2 * hidden, 1))),
-            )
-        )
-    return PoolingParams(layers=layers)
+    return PoolingParams(
+        layers=[
+            PoolLayerParams(w=glorot(rng, hidden, hidden), a=glorot(rng, 2 * hidden, 1))
+            for _ in range(num_layers)
+        ]
+    )
 
 
 @dataclass

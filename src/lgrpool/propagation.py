@@ -39,19 +39,21 @@ class PropagationParams:
         return PropagationParams(*(ad.constant(v.data) for _, v in self.items()))
 
 
+def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Value:
+    """A (fan_in, fan_out) parameter drawn from Glorot & Bengio's (2010) uniform."""
+    lim = np.sqrt(6.0 / (fan_in + fan_out))
+    return ad.parameter(rng.uniform(-lim, lim, size=(fan_in, fan_out)))
+
+
 def init_propagation_params(
     d_in: int, hidden: int, num_classes: int, rng: np.random.Generator
 ) -> PropagationParams:
-    def glorot(fan_in, fan_out):
-        lim = np.sqrt(6.0 / (fan_in + fan_out))
-        return ad.parameter(rng.uniform(-lim, lim, size=(fan_in, fan_out)))
-
     return PropagationParams(
-        w1=glorot(d_in, hidden),
+        w1=glorot(rng, d_in, hidden),
         b1=ad.parameter(np.zeros((1, hidden))),
-        w2=glorot(hidden, hidden),
+        w2=glorot(rng, hidden, hidden),
         b2=ad.parameter(np.zeros((1, hidden))),
-        wc=glorot(hidden, num_classes),
+        wc=glorot(rng, hidden, num_classes),
         bc=ad.parameter(np.zeros((1, num_classes))),
     )
 

@@ -186,7 +186,7 @@ def evaluate(params: ParameterSet, dataset: GraphDataset, config: TrainingConfig
 def mean_precor_error(dataset: GraphDataset, params: ParameterSet, config: TrainingConfig) -> float:
     """Dataset-mean |prediction-correction loss|, forward only; no
     classification is computed."""
-    frozen = ParameterSet(prop=params.prop.constants(), pool=params.pool.constants())
+    frozen = params.constants()
     return _dataset_mean(
         dataset,
         lambda graph: abs(model_mod.graph_precor_loss(graph, frozen, config)[0].data[0, 0]),

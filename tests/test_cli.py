@@ -2,6 +2,7 @@ import base64
 import json
 import os
 import shutil
+import subprocess
 import sys
 import warnings
 from concurrent.futures import Future
@@ -20,6 +21,7 @@ from lgrpool.cli import (
 from lgrpool.data import emit_tu_dataset, parse_tu_dataset
 from lgrpool.errors import NonFinite
 
+from faulty_ops import sigmoid_wrong_derivative
 from toydata import make_toy_dataset
 
 CONFIG_TEXT = """# laptop-scale smoke settings
@@ -761,9 +763,17 @@ def test_gradcheck_passes(capsys):
     assert out.strip().endswith("gradcheck passed")
 
 
-def test_gradcheck_detects_injected_fault(capsys):
-    assert main(["gradcheck", "--inject-fault"]) == 3
-    assert "FAIL" in capsys.readouterr().out
+def test_gradcheck_detects_injected_fault(monkeypatch, capsys):
+    rows = [
+        (name, cli._sum_sq(sigmoid_wrong_derivative), shapes) if name == "sigmoid" else (name, builder, shapes)
+        for name, builder, shapes in cli.PRIMITIVE_TARGETS
+    ]
+    monkeypatch.setattr(cli, "PRIMITIVE_TARGETS", tuple(rows))
+    assert main(["gradcheck"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    [sigmoid] = [line for line in lines if line.startswith("primitive sigmoid: ")]
+    assert sigmoid.endswith(" FAIL")
+    assert lines[-1] == "gradcheck failed: sigmoid"
 
 
 def test_gradcheck_prints_every_target_in_order(capsys):
@@ -880,3 +890,21 @@ def test_dataset_root_env_var(toy_dir, cfg_file, monkeypatch, capsys):
     assert main(["inspect", "--dataset", "TOY"]) == 0
     summary = json.loads(capsys.readouterr().out.strip().split("\n")[0])
     assert summary["graphs"] == 10
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_vars_after_import(**user_values):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(user_values)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = f"import lgrpool, os; print(*(os.environ[v] for v in {BLAS_VARS!r}))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return done.stdout.split()
+
+
+def test_import_defaults_blas_to_one_thread_unless_set():
+    assert _blas_vars_after_import() == ["1", "1", "1"]
+    assert _blas_vars_after_import(OMP_NUM_THREADS="2") == ["1", "2", "1"]

@@ -8,8 +8,8 @@ bitwise and the second to rounding.
 import numpy as np
 
 from lgrpool import autodiff as ad
-from lgrpool import model, pooling, propagation, training
-from lgrpool.data import Graph, build_normalized_adjacency, iterate_batches
+from lgrpool import cli, model, pooling, propagation, training
+from lgrpool.data import Graph, build_normalized_adjacency, emit_tu_dataset, iterate_batches
 from lgrpool.model import ParameterSet, graph_total_loss, init_parameters
 from lgrpool.pooling import PoolLayerParams, score_edges
 from lgrpool.training import (
@@ -122,8 +122,10 @@ def test_m_phase_pooling_gradients_reach_only_pooling():
     assert any(np.any(p.grad != 0) for _, p in params.pool.items())
 
 
-def test_forward_only_passes_build_no_tape(monkeypatch):
+def test_forward_only_passes_build_no_tape(tmp_path, monkeypatch, capsys):
     train, val, cfg, (params, _) = trained_pair(1)
+    emit_tu_dataset(make_toy_dataset(6), str(tmp_path / "TOY"))
+    (tmp_path / "toy.cfg").write_text("hidden = 6\nnum_pooling_layers = 3\nk = 3\n")
     outputs = []
     real_precor, real_classify = model.graph_precor_loss, propagation.classify
 
@@ -138,13 +140,16 @@ def test_forward_only_passes_build_no_tape(monkeypatch):
         return y_pred
 
     monkeypatch.setattr(model, "graph_precor_loss", recording_precor)
+    monkeypatch.setattr(cli, "graph_precor_loss", recording_precor)
     monkeypatch.setattr(propagation, "classify", recording_classify)
     params.zero_grad()
     evaluate(params, val, cfg)
     mean_precor_error(train, params, cfg)
-    # Evaluation classifies each graph once; the regularizer pass never does.
+    inspect = ["inspect", "--dataset", str(tmp_path / "TOY"), "--config", str(tmp_path / "toy.cfg"), "--graph", "0"]
+    assert cli.main(inspect) == 0
+    # Evaluation classifies each graph once; the regularizer passes never do.
     kinds = [kind for kind, _ in outputs]
-    assert kinds == ["classify"] * len(val.graphs) + ["precor"] * len(train.graphs)
+    assert kinds == ["classify"] * len(val.graphs) + ["precor"] * (len(train.graphs) + 1)
     for _, out in outputs:
         assert not out.requires_grad and not out._parents
         ad.backward(out)

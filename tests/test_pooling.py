@@ -5,6 +5,7 @@ from lgrpool import autodiff as ad
 from lgrpool.cli import full_loss_target
 from lgrpool.data import Graph, build_normalized_adjacency
 from lgrpool.errors import ShapeMismatch
+from lgrpool.model import init_parameters
 from lgrpool.pooling import (
     GATE_FLOOR,
     PoolLayerParams,
@@ -348,3 +349,34 @@ def test_pooling_parameters_pass_grad_check():
             continue
         err = ad.grad_check(lambda _ps: builder(params_set), {name: value}, eps=1e-6)
         assert err <= 1e-4, f"{name}: {err}"
+
+
+# ------------------------------------------------------------ initialization
+
+
+def inline_glorot_parameters(d_in, hidden, num_classes, num_layers, seed):
+    """Every parameter drawn as the two groups once spelled out their draws."""
+    rng = np.random.default_rng(seed)
+
+    def glorot(fan_in, fan_out):
+        lim = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-lim, lim, size=(fan_in, fan_out))
+
+    arrays = {"prop.w1": glorot(d_in, hidden), "prop.b1": np.zeros((1, hidden))}
+    arrays.update({"prop.w2": glorot(hidden, hidden), "prop.b2": np.zeros((1, hidden))})
+    arrays.update({"prop.wc": glorot(hidden, num_classes), "prop.bc": np.zeros((1, num_classes))})
+    for i in range(num_layers):
+        lim_w = np.sqrt(6.0 / (2 * hidden))
+        lim_a = np.sqrt(6.0 / (2 * hidden + 1))
+        arrays[f"pool.{i}.w"] = rng.uniform(-lim_w, lim_w, size=(hidden, hidden))
+        arrays[f"pool.{i}.a"] = rng.uniform(-lim_a, lim_a, size=(2 * hidden, 1))
+    return arrays
+
+
+@pytest.mark.parametrize("shape", [(37, 200, 2, 14, 0), (5, 200, 2, 14, 3), (89, 200, 2, 14, 7), (3, 6, 3, 3, 1)])
+def test_init_parameters_is_bitwise_the_inline_draws(shape):
+    got = init_parameters(*shape).snapshot()
+    want = inline_glorot_parameters(*shape)
+    assert list(got) == list(want)
+    for name, array in want.items():
+        assert got[name].tobytes() == array.tobytes() and got[name].shape == array.shape, name

@@ -102,6 +102,11 @@ def test_desk_profile_matches_desk_cfg():
     assert TrainingConfig.desk() == load_config(cfg_path, {})
 
 
+def test_full_cfg_is_the_default_config():
+    cfg_path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "full.cfg")
+    assert TrainingConfig() == load_config(cfg_path, {})
+
+
 def test_config_round_trip_and_unknown_keys():
     cfg = TrainingConfig.desk(gamma=0.3)
     assert TrainingConfig.from_dict(cfg.to_dict()) == cfg
