@@ -306,14 +306,16 @@ def backward(loss: Value) -> None:
 # ---------------------------------------------------------------- grad check
 
 
-def grad_check(builder, params, eps: float = 1e-6, seed: int = 0) -> float:
+def grad_check(builder, params, eps: float = 1e-6, seed: int = 0) -> dict:
     """Compare backward gradients against central finite differences.
 
-    builder maps the parameter set to a scalar loss Value and must be
-    deterministic. A random coordinate sample (GRADCHECK_SAMPLE_FRACTION
-    of each array, at least GRADCHECK_MIN_COORDS) is perturbed by +-eps.
-    Returns the maximum of |analytic - numeric| / max(1, |numeric|) over
-    sampled coordinates.
+    builder maps ``params`` (anything whose ``items()`` yields named
+    parameter Values) to a scalar loss Value and must be deterministic. A
+    random coordinate sample (GRADCHECK_SAMPLE_FRACTION of each array, at
+    least GRADCHECK_MIN_COORDS) is perturbed by +-eps; one generator seeded
+    by ``seed`` draws every array's sample, in array order. Returns, per
+    array name, the maximum of |analytic - numeric| / max(1, |numeric|)
+    over its sampled coordinates.
     """
     if not (1e-7 <= eps <= 1e-3):
         raise ValueError(f"eps must lie in [1e-7, 1e-3], got {eps}")
@@ -331,13 +333,14 @@ def grad_check(builder, params, eps: float = 1e-6, seed: int = 0) -> float:
     analytic = {name: v.grad.copy() for name, v in named}
 
     rng = np.random.default_rng(seed)
-    max_err = 0.0
+    max_err = {}
     for name, v in named:
         flat = v.data.reshape(-1)
         total = flat.size
         k = min(total, max(GRADCHECK_MIN_COORDS, int(np.ceil(GRADCHECK_SAMPLE_FRACTION * total))))
         coords = rng.choice(total, size=k, replace=False)
         a_flat = analytic[name].reshape(-1)
+        max_err[name] = 0.0
         for c in coords:
             old = flat[c]
             flat[c] = old + eps
@@ -347,6 +350,5 @@ def grad_check(builder, params, eps: float = 1e-6, seed: int = 0) -> float:
             flat[c] = old
             numeric = (f_plus - f_minus) / (2.0 * eps)
             err = abs(a_flat[c] - numeric) / max(1.0, abs(numeric))
-            if err > max_err:
-                max_err = err
+            max_err[name] = max(max_err[name], err)
     return max_err

@@ -69,6 +69,15 @@ def load_config(path: str | None, overrides: dict) -> TrainingConfig:
     return TrainingConfig.from_dict(values)
 
 
+def _distinct(values: list, what: str, text: str) -> list:
+    """``values`` parsed from ``text`` if they are a non-empty list of distinct values."""
+    if not values:
+        raise ValueError(f"no {what} in {text!r}")
+    if len(set(values)) != len(values):
+        raise ValueError(f"duplicate {what} in {text!r}")
+    return values
+
+
 def parse_seeds(text: str):
     """Either an inclusive range "A..B" or a comma list "0,3,7" of
     distinct non-negative seeds."""
@@ -78,23 +87,14 @@ def parse_seeds(text: str):
         seeds = list(range(int(lo_text), int(hi_text) + 1))
     else:
         seeds = [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    if not seeds:
-        raise ValueError(f"no seeds in {text!r}")
-    if min(seeds) < 0:
+    if min(seeds, default=0) < 0:
         raise ValueError(f"seeds must be non-negative, got {text!r}")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError(f"duplicate seeds in {text!r}")
-    return seeds
+    return _distinct(seeds, "seeds", text)
 
 
 def parse_gammas(text: str):
     """Comma list of distinct gamma values; TrainingConfig checks each one."""
-    gammas = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    if not gammas:
-        raise ValueError(f"no gamma values in {text!r}")
-    if len(set(gammas)) != len(gammas):
-        raise ValueError(f"duplicate gamma values in {text!r}")
-    return gammas
+    return _distinct([float(tok) for tok in text.split(",") if tok.strip() != ""], "gamma values", text)
 
 
 def resolve_dataset_dir(arg: str) -> str:
@@ -407,26 +407,24 @@ def full_loss_target(eps: float):
     raise RuntimeError("no admissible gradcheck fixture found")
 
 
-def _gradcheck_targets(eps: float):
-    """(label, builder, params) for every primitive, then for each block of
-    the full loss. Lazy, so grad_check rejects a bad eps on the first
-    primitive before the full-loss fixture search runs with that eps."""
-    for name, builder, params in primitive_targets():
-        yield f"primitive {name}", builder, params
-    loss, params_set = full_loss_target(eps)
-    for block, value in params_set.items():
-        yield f"l_tot {block}", lambda _ps: loss(params_set), {block: value}
-
-
 def run_gradcheck(eps: float, stream=None) -> int:
+    """One grad_check per primitive, then one over every block of the full
+    loss. The primitives go first, so a bad eps is rejected before the
+    full-loss fixture search runs with it."""
     stream = stream or sys.stdout
     failed = []
-    for label, builder, params in _gradcheck_targets(eps):
-        err = ad.grad_check(builder, params, eps=eps)
-        status = "ok" if err <= GRADCHECK_TOLERANCE else "FAIL"
-        print(f"{label}: max_rel_err={err:.3e} {status}", file=stream)
-        if err > GRADCHECK_TOLERANCE:
+
+    def report(label, err):
+        ok = err <= GRADCHECK_TOLERANCE
+        print(f"{label}: max_rel_err={err:.3e} {'ok' if ok else 'FAIL'}", file=stream)
+        if not ok:
             failed.append(label.removeprefix("primitive "))
+
+    for name, builder, params in primitive_targets():
+        report(f"primitive {name}", max(ad.grad_check(builder, params, eps=eps).values()))
+    loss, params_set = full_loss_target(eps)
+    for block, err in ad.grad_check(loss, params_set, eps=eps).items():
+        report(f"l_tot {block}", err)
     if failed:
         print("gradcheck failed: " + ", ".join(failed), file=stream)
         return 3
@@ -481,13 +479,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_ablate = sub.add_parser("ablate")
     common(p_ablate)
     p_ablate.add_argument("--out", default=None, help="output directory")
-    p_ablate.add_argument("--seeds", default="0..9")
+    p_ablate.add_argument("--seeds", default="0..9", help='"A..B" inclusive or comma list; default 0..9')
     p_ablate.add_argument("--gamma", default=None, help="comma list of regularizer weights")
-    p_ablate.add_argument("--jobs", type=_job_count, default=1)
+    p_ablate.add_argument("--jobs", type=_job_count, default=1, help="concurrent (gamma, seed) jobs")
     p_ablate.set_defaults(fn=cmd_ablate)
 
     p_grad = sub.add_parser("gradcheck")
-    p_grad.add_argument("--eps", type=float, default=1e-6)
+    p_grad.add_argument(
+        "--eps", type=float, default=1e-6, help="finite-difference step in [1e-7, 1e-3]; default 1e-6"
+    )
     p_grad.set_defaults(fn=cmd_gradcheck)
 
     p_inspect = sub.add_parser("inspect")

@@ -4,9 +4,9 @@ The expectation phase trains the propagation parameters on the
 classification loss alone; the maximization phase trains the pooling
 parameters on the total loss while the propagation parameters stay
 frozen. Rounds alternate until the dataset-mean prediction-correction
-error stops changing or the round cap is reached. Each parameter group
-owns its optimizer state, so a phase can never touch the other group's
-parameters or moments.
+error stops changing or the round cap is reached. ``em_train`` creates
+each group's optimizer state once per run, so Adam's moments carry across
+rounds and a phase can never touch the other group's parameters or moments.
 """
 from __future__ import annotations
 
@@ -209,7 +209,7 @@ def labelled(what: str):
 
 
 def _train_phase(phase, train, params, group, opt_state, loss_of, val_acc, config,
-                 em_round, metrics) -> AdamState:
+                 em_round, metrics) -> None:
     """Mini-batch Adam over one parameter group: the loop both EM phases share.
 
     Epochs are numbered across phases and rounds: round r's E phase runs
@@ -220,8 +220,6 @@ def _train_phase(phase, train, params, group, opt_state, loss_of, val_acc, confi
     """
     if not train.graphs:
         raise EmptySplit(f"{_PHASE_NAMES[phase]} phase: empty train split {train.name!r}")
-    if opt_state is None:
-        opt_state = init_adam(group)
     first = (2 * (em_round - 1) + "EM".index(phase)) * config.epochs
     for epoch in range(first, first + config.epochs):
         lr = lr_schedule(epoch, config.lr0)
@@ -236,39 +234,30 @@ def _train_phase(phase, train, params, group, opt_state, loss_of, val_acc, confi
                         sums[name] = sums.get(name, 0.0) + value.data[0, 0]
                     ad.backward(ad.scale(loss, 1.0 / len(batch)))
                 adam_step(group, opt_state, lr, config)
-            if metrics is not None:
-                n = len(train.graphs)
-                metrics.epochs.append(
-                    EpochRecord(
-                        epoch=epoch,
-                        phase=phase,
-                        em_round=em_round,
-                        val_acc=val_acc(),
-                        **{name: total / n for name, total in sums.items()},
-                    )
-                )
-    return opt_state
+            means = {name: total / len(train.graphs) for name, total in sums.items()}
+            metrics.epochs.append(
+                EpochRecord(epoch=epoch, phase=phase, em_round=em_round, val_acc=val_acc(), **means)
+            )
 
 
 def expectation_phase(
     train: GraphDataset,
     params: ParameterSet,
     config: TrainingConfig,
-    opt_state: AdamState | None = None,
-    val: GraphDataset | None = None,
-    em_round: int = 1,
-    metrics: RunMetrics | None = None,
-) -> AdamState:
+    opt_state: AdamState,
+    val: GraphDataset,
+    em_round: int,
+    metrics: RunMetrics,
+) -> None:
     """Mini-batch Adam on the classification loss; propagation group only."""
 
     def loss_of(graph):
         l_exp = model_mod.graph_expectation_loss(graph, params, config)
         return l_exp, {"l_exp": l_exp}
 
-    return _train_phase(
+    _train_phase(
         "E", train, params, params.prop.items(), opt_state, loss_of,
-        lambda: evaluate(params, val, config) if val is not None else None,
-        config, em_round, metrics,
+        lambda: evaluate(params, val, config), config, em_round, metrics,
     )
 
 
@@ -276,19 +265,19 @@ def maximization_phase(
     train: GraphDataset,
     params: ParameterSet,
     config: TrainingConfig,
-    opt_state: AdamState | None = None,
-    val_acc: float | None = None,
-    em_round: int = 1,
-    metrics: RunMetrics | None = None,
-):
+    opt_state: AdamState,
+    val_acc: float,
+    em_round: int,
+    metrics: RunMetrics,
+) -> float:
     """Mini-batch Adam on the total loss; pooling group only.
 
     The classification term carries no pooling gradient, so the update
     signal is gamma times the regularizer. Propagation parameters enter as
     constants, so backward walks only the pooling tape. Validation accuracy
     reads only them, so every M epoch records ``val_acc``, the accuracy the
-    E phase measured last. Returns the optimizer state and the train-set
-    mean |prediction-correction loss| after the last epoch.
+    E phase measured last. Returns the train-set mean |prediction-correction
+    loss| after the last epoch, the round's EM error.
     """
     frozen = ParameterSet(prop=params.prop.constants(), pool=params.pool)
 
@@ -297,12 +286,12 @@ def maximization_phase(
         reported = {"l_exp": losses.l_exp, "l_precor": losses.l_precor, "l_tot": losses.l_tot}
         return losses.l_tot, reported
 
-    opt_state = _train_phase(
+    _train_phase(
         "M", train, params, params.pool.items(), opt_state, loss_of, lambda: val_acc,
         config, em_round, metrics,
     )
     with labelled(f"maximization phase, round {em_round}, closing regularizer pass"):
-        return opt_state, mean_precor_error(train, params, config)
+        return mean_precor_error(train, params, config)
 
 
 def em_train(train: GraphDataset, val: GraphDataset, test: GraphDataset, config: TrainingConfig):
@@ -317,7 +306,7 @@ def em_train(train: GraphDataset, val: GraphDataset, test: GraphDataset, config:
     if not train.graphs or not val.graphs or not test.graphs:
         raise EmptySplit("em_train requires non-empty train/val/test splits")
     params = initial_parameters(train, config)
-    prop_state = pool_state = None
+    prop_state, pool_state = init_adam(params.prop.items()), init_adam(params.pool.items())
     metrics = RunMetrics()
 
     with labelled("opening regularizer pass"):
@@ -325,13 +314,13 @@ def em_train(train: GraphDataset, val: GraphDataset, test: GraphDataset, config:
     best_val = -1.0  # below every accuracy, so round 1 always sets best_snapshot
 
     for em_round in range(1, config.em_rounds_max + 1):
-        prop_state = expectation_phase(
+        # em_round goes by keyword: the benchmark files pooling counts under it.
+        expectation_phase(
             train, params, config, opt_state=prop_state, val=val, em_round=em_round, metrics=metrics
         )
         # M leaves theta, all that evaluate reads, unchanged: E's last record is post-round.
         val_acc = metrics.epochs[-1].val_acc
-        # em_round goes by keyword: the benchmark files pooling counts under it.
-        pool_state, err = maximization_phase(
+        err = maximization_phase(
             train, params, config, opt_state=pool_state, val_acc=val_acc, em_round=em_round,
             metrics=metrics,
         )

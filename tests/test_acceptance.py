@@ -27,9 +27,11 @@ from lgrpool.model import graph_total_loss, init_parameters
 from lgrpool.pooling import contract_graph, hierarchical_pool, normalize_scores
 from lgrpool.propagation import ppr_propagate
 from lgrpool.training import (
+    RunMetrics,
     TrainingConfig,
     em_train,
     expectation_phase,
+    init_adam,
     maximization_phase,
 )
 
@@ -393,7 +395,7 @@ def test_criterion_09_freeze_and_decoupling():
         )
 
         before = params.snapshot()
-        expectation_phase(train, params, config)
+        expectation_phase(train, params, config, init_adam(params.prop.items()), train, 1, RunMetrics())
         after_e = params.snapshot()
         for name in before:
             if name.startswith("pool."):
@@ -401,7 +403,7 @@ def test_criterion_09_freeze_and_decoupling():
                     f"{name} changed during the expectation phase"
                 )
 
-        maximization_phase(train, params, config)
+        maximization_phase(train, params, config, init_adam(params.pool.items()), None, 1, RunMetrics())
         after_m = params.snapshot()
         for name in after_e:
             if name.startswith("prop."):

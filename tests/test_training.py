@@ -10,9 +10,16 @@ from lgrpool import training
 from lgrpool.cli import load_config
 from lgrpool.data import Graph, GraphDataset, build_normalized_adjacency, iterate_batches
 from lgrpool.errors import EmptySplit, NonFinite
-from lgrpool.model import ParameterSet, graph_expectation_loss, graph_total_loss, init_parameters
+from lgrpool.model import (
+    ParameterSet,
+    graph_expectation_loss,
+    graph_precor_loss,
+    graph_total_loss,
+    init_parameters,
+)
 from lgrpool.training import (
     AdamState,
+    RunMetrics,
     TrainingConfig,
     adam_step,
     atomic_write,
@@ -190,19 +197,19 @@ def test_expectation_phase_decreases_loss_on_tiny_set():
             return total / len(ds.graphs)
 
         before = mean_l_exp()
-        expectation_phase(ds, params, cfg)
+        expectation_phase(ds, params, cfg, init_adam(params.prop.items()), ds, 1, RunMetrics())
         if mean_l_exp() < before:
             wins += 1
     assert wins >= 9
 
 
 def test_expectation_phase_ignores_gamma():
-    train, _, _ = toy_splits()
+    train, val, _ = toy_splits()
     outs = []
     for gamma in (0.0, 0.2, 5.0):
         cfg = TOY_CONFIG.with_overrides(gamma=gamma)
         params = init_parameters(train.feature_dim, cfg.hidden, train.num_classes, cfg.num_pooling_layers, 0)
-        expectation_phase(train, params, cfg)
+        expectation_phase(train, params, cfg, init_adam(params.prop.items()), val, 1, RunMetrics())
         outs.append(params.snapshot())
     for name in outs[0]:
         assert np.array_equal(outs[0][name], outs[1][name])
@@ -210,18 +217,18 @@ def test_expectation_phase_ignores_gamma():
 
 
 def test_freeze_contracts_are_bitwise():
-    train, _, _ = toy_splits()
+    train, val, _ = toy_splits()
     cfg = TOY_CONFIG
     params = init_parameters(train.feature_dim, cfg.hidden, train.num_classes, cfg.num_pooling_layers, 0)
 
     before = params.snapshot()
-    expectation_phase(train, params, cfg)
+    expectation_phase(train, params, cfg, init_adam(params.prop.items()), val, 1, RunMetrics())
     after_e = params.snapshot()
     for name in before:
         if name.startswith("pool."):
             assert np.array_equal(before[name], after_e[name]), name
 
-    maximization_phase(train, params, cfg)
+    maximization_phase(train, params, cfg, init_adam(params.pool.items()), None, 1, RunMetrics())
     after_m = params.snapshot()
     for name in after_e:
         if name.startswith("prop."):
@@ -244,7 +251,7 @@ def test_maximization_phase_zero_gamma_keeps_pooling():
     for name, p in params.pool.items():
         assert np.array_equal(p.grad, np.zeros_like(p.data)), name
 
-    maximization_phase(train, params, cfg)
+    maximization_phase(train, params, cfg, init_adam(params.pool.items()), None, 1, RunMetrics())
     after = params.snapshot()
     for name in before:
         if name.startswith("pool."):
@@ -258,7 +265,7 @@ def test_maximization_phase_reduces_precor_error():
         cfg = TOY_CONFIG.with_overrides(seed=seed, epochs=4, batch_size=6)
         params = init_parameters(ds.feature_dim, cfg.hidden, ds.num_classes, cfg.num_pooling_layers, seed)
         before = mean_precor_error(ds, params, cfg)
-        _, after = maximization_phase(ds, params, cfg)
+        after = maximization_phase(ds, params, cfg, init_adam(params.pool.items()), None, 1, RunMetrics())
         if after <= before + 1e-12:
             wins += 1
     assert wins >= 8
@@ -303,6 +310,45 @@ def test_em_train_is_deterministic():
     r1 = [(r.epoch, r.phase, r.em_round, r.l_exp, r.l_precor, r.l_tot, r.val_acc) for r in m1.epochs]
     r2 = [(r.epoch, r.phase, r.em_round, r.l_exp, r.l_precor, r.l_tot, r.val_acc) for r in m2.epochs]
     assert r1 == r2
+
+
+def degenerate_splits():
+    """Toy splits whose train set, one batch at TOY_CONFIG's batch_size, also
+    holds a single-node graph, a two-node graph and an edgeless graph."""
+    rng = np.random.default_rng(3)
+
+    def graph(n, edges, label):
+        return Graph(n, edges, rng.normal(size=(n, 2)), label, build_normalized_adjacency(n, edges))
+
+    odd = [graph(1, [], 0), graph(2, [(0, 1)], 1), graph(5, [], 0)]
+    train, val, test = toy_splits(5 + 4)
+    train = GraphDataset(odd + train.graphs, train.num_classes, train.feature_dim, "degenerate/train")
+    return train, val, test
+
+
+def test_em_train_on_a_batch_of_degenerate_graphs_is_finite_and_deterministic():
+    train, val, test = degenerate_splits()
+    cfg = TOY_CONFIG.with_overrides(batch_size=len(train.graphs), em_rounds_max=3)
+    assert len(list(iterate_batches(train, cfg.batch_size, cfg.seed, 0))) == 1
+    frozen = training.initial_parameters(train, cfg).constants()
+    depths = [graph_precor_loss(g, frozen, cfg)[1].effective_depth for g in train.graphs]
+    assert depths[0] == depths[2] == 0  # no edge to score
+    assert max(depths[3:]) >= 1, "no toy graph pools at init"
+
+    runs = [em_train(train, val, test, cfg) for _ in range(2)]
+    for _, metrics in runs:
+        assert metrics.em_errors and all(np.isfinite(metrics.em_errors))
+        for r in metrics.epochs:
+            losses = [r.l_exp] if r.phase == "E" else [r.l_exp, r.l_precor, r.l_tot]
+            assert all(np.isfinite(losses)), r
+        for em_round in range(1, len(metrics.em_errors) + 1):
+            m_epochs = [r for r in metrics.epochs if r.phase == "M" and r.em_round == em_round]
+            assert len(m_epochs) == cfg.epochs, em_round
+    (p1, m1), (p2, m2) = runs
+    assert m1.epochs == m2.epochs and m1.em_errors == m2.em_errors
+    s1, s2 = p1.snapshot(), p2.snapshot()
+    for name in s1:
+        assert np.array_equal(s1[name], s2[name]), name
 
 
 def test_em_train_keeps_best_round_without_reevaluating(monkeypatch):
@@ -481,8 +527,12 @@ def test_labelled_restores_numpy_error_state():
 def test_empty_train_set_raises_empty_split(phase):
     empty = GraphDataset(graphs=[], num_classes=2, feature_dim=2, name="empty")
     params = init_parameters(2, TOY_CONFIG.hidden, 2, TOY_CONFIG.num_pooling_layers, 0)
+    state_args = {
+        expectation_phase: (init_adam(params.prop.items()), empty, 1, RunMetrics()),
+        maximization_phase: (init_adam(params.pool.items()), None, 1, RunMetrics()),
+    }
     with pytest.raises(EmptySplit):
-        phase(empty, params, TOY_CONFIG)
+        phase(empty, params, TOY_CONFIG, *state_args.get(phase, ()))
 
 
 def test_em_train_rejects_empty_split():
