@@ -7,8 +7,8 @@ is written before any training starts, so a directory of artifacts is
 self-describing and re-runs with identical inputs overwrite it with
 identical bytes.
 
-Exit codes: 0 success, 1 argument/config/dataset/path problems, 2 a
-non-finite loss aborted training, 3 gradient checks failed.
+Exit codes: 0 success, 1 argument/config/dataset/path problems, 2 a non-finite
+loss aborted training, 3 gradient checks failed, 4 a worker process died.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -215,8 +215,8 @@ def _ablate_one(dataset, config: TrainingConfig):
 
 def _run_jobs(worker, jobs_args, num_jobs: int):
     """worker(*args) for each args, in order, over at most num_jobs
-    processes and never more processes than jobs. Every job runs; the
-    first failure in job order is raised once all have run."""
+    processes and never more processes than jobs. Once no job is left, the
+    first failure in job order is raised, or BrokenExecutor if a worker died."""
     workers = min(num_jobs, len(jobs_args))
     if workers <= 1:
         results, failures = [], []
@@ -230,7 +230,10 @@ def _run_jobs(worker, jobs_args, num_jobs: int):
         return results
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(worker, *args) for args in jobs_args]
-        return [f.result() for f in futures]
+    finished = sum(not isinstance(f.exception(), BrokenExecutor) for f in futures)
+    if finished < len(futures):
+        raise BrokenExecutor(f"a worker process died; {finished} of {len(futures)} jobs finished")
+    return [f.result() for f in futures]
 
 
 def _summary(per_seed: dict) -> dict:
@@ -509,9 +512,9 @@ def main(argv=None) -> int:
     except NonFinite as exc:
         print(f"aborted on non-finite loss: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, LgrPoolError) as exc:
+    except (ValueError, OSError, LgrPoolError, BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 4 if isinstance(exc, BrokenExecutor) else 1
 
 
 if __name__ == "__main__":

@@ -6,9 +6,9 @@ features at hidden width, pools them and scores the
 prediction-correction term; the full tape shares the MLP's hidden layer
 between the two and adds them with weight ``gamma``. All read ``alpha``
 and ``k`` from the run's TrainingConfig; the regularizer also reads
-``s_thre`` and ``num_pooling_layers``. Nothing here freezes a parameter:
-a caller freezes θ, the propagation parameters, by passing them as
-constants.
+``s_thre`` and pools with every layer of the pooling parameters. Nothing
+here freezes a parameter: a caller freezes θ, the propagation
+parameters, by passing them as constants.
 """
 from __future__ import annotations
 
@@ -98,9 +98,7 @@ def _regularizer(graph: Graph, r: Value, params: ParameterSet, config):
     prop = params.prop
     h = ad.add(ad.matmul(r, prop.w2), prop.b2)
     z_pre = propagation.ppr_propagate(graph.adj_norm, h, config.alpha, config.k)
-    trace = pooling.hierarchical_pool(
-        graph, z_pre, params.pool, config.s_thre, config.num_pooling_layers
-    )
+    trace = pooling.hierarchical_pool(graph, z_pre, params.pool, config.s_thre)
     coarse_edges = trace.layers[-1].coarse_edges if trace.layers else []
     l_precor = pooling.prediction_correction_loss(
         trace.z_cor, z_pre, trace.composed_map, coarse_edges

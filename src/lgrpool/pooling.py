@@ -208,14 +208,12 @@ def contract_graph(
     return coarse_z, canonical_edges(merge.assignment[ends], merge.num_supernodes), merge
 
 
-def hierarchical_pool(
-    graph, z_input: Value, params: PoolingParams, s_thre: float, num_layers: int
-) -> PoolingTrace:
-    """Apply score / normalize / contract up to num_layers times.
+def hierarchical_pool(graph, z_input: Value, params: PoolingParams, s_thre: float) -> PoolingTrace:
+    """Apply score / normalize / contract with each of ``params.layers`` in turn.
 
-    Stops early once at most 2 nodes remain or no edge survives the
-    threshold; a layer that would not contract is not applied, so a
-    trace of depth 0 returns z_input untouched.
+    Stops after the last layer, or earlier once at most 2 nodes remain or
+    no edge survives the threshold; a layer that would not contract is
+    not applied, so a trace of depth 0 returns z_input untouched.
     """
     n_cur = graph.num_nodes
     ends = np.asarray(graph.edges, dtype=np.int64).reshape(-1, 2)
@@ -223,10 +221,10 @@ def hierarchical_pool(
     layers = []
     composed = np.arange(graph.num_nodes, dtype=np.int64)
 
-    for level in range(num_layers):
+    for layer in params.layers:
         if n_cur <= 2 or not len(ends):
             break
-        scores = score_edges(z_cur, ends, params.layers[level])
+        scores = score_edges(z_cur, ends, layer)
         norm = normalize_scores(scores, ends, n_cur, s_thre)
         if not norm.surviving.any():
             break

@@ -7,6 +7,8 @@ frozen. Rounds alternate until the dataset-mean prediction-correction
 error stops changing or the round cap is reached. ``em_train`` creates
 each group's optimizer state once per run, so Adam's moments carry across
 rounds and a phase can never touch the other group's parameters or moments.
+A parameter's moments are made at its first nonzero gradient: until then
+Adam moves it by exactly zero, so a layer no gradient reaches costs no work.
 """
 from __future__ import annotations
 
@@ -111,16 +113,9 @@ def lr_schedule(epoch: int, lr0: float) -> float:
 
 @dataclass
 class AdamState:
-    m: dict
-    v: dict
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
     step: int = 0
-
-
-def init_adam(named_params) -> AdamState:
-    return AdamState(
-        m={name: np.zeros_like(p.data) for name, p in named_params},
-        v={name: np.zeros_like(p.data) for name, p in named_params},
-    )
 
 
 def adam_step(named_params, state: AdamState, lr: float, config: TrainingConfig) -> None:
@@ -129,6 +124,10 @@ def adam_step(named_params, state: AdamState, lr: float, config: TrainingConfig)
     t = state.step
     for name, p in named_params:
         g = p.grad
+        if name not in state.m:
+            if not g.any():
+                continue
+            state.m[name], state.v[name] = np.zeros_like(g), np.zeros_like(g)
         m = state.m[name]
         v = state.v[name]
         m *= config.beta1
@@ -306,7 +305,7 @@ def em_train(train: GraphDataset, val: GraphDataset, test: GraphDataset, config:
     if not train.graphs or not val.graphs or not test.graphs:
         raise EmptySplit("em_train requires non-empty train/val/test splits")
     params = initial_parameters(train, config)
-    prop_state, pool_state = init_adam(params.prop.items()), init_adam(params.pool.items())
+    prop_state, pool_state = AdamState(), AdamState()
     metrics = RunMetrics()
 
     with labelled("opening regularizer pass"):
@@ -387,14 +386,11 @@ def save_checkpoint(path, params: ParameterSet, config: TrainingConfig) -> None:
         json.dump(payload, fh)
 
 
-def _decode_array(name: str, value, version: int) -> np.ndarray:
-    """A version-1 number list or version-2 shape/f8le object as a float64 array."""
+def _decode_array(name: str, value) -> np.ndarray:
+    """A shape/f8le object as a float64 array."""
     try:
-        if version == 1:
-            arr = np.asarray(value, dtype=np.float64)
-        else:
-            raw = base64.b64decode(value["f8le"], validate=True)
-            arr = np.frombuffer(raw, "<f8").reshape(value["shape"])
+        raw = base64.b64decode(value["f8le"], validate=True)
+        arr = np.frombuffer(raw, "<f8").reshape(value["shape"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint array {name} is malformed: {exc}") from exc
     if not np.isfinite(arr).all():
@@ -418,14 +414,14 @@ def load_checkpoint(path):
     """Returns (config, parameter arrays by name); other keys are ignored."""
     payload = read_json_object(path, "checkpoint")
     version = payload.get("format_version")
-    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")
     for key in ("config", "parameters"):
         if not isinstance(payload.get(key), dict):
             raise ValueError(f"checkpoint has no {key!r} object: {path}")
     config = TrainingConfig.from_dict(payload["config"])
     arrays = {
-        name: _decode_array(name, value, version)
+        name: _decode_array(name, value)
         for name, value in payload["parameters"].items()
     }
     return config, arrays

@@ -27,11 +27,11 @@ from lgrpool.model import graph_total_loss, init_parameters
 from lgrpool.pooling import contract_graph, hierarchical_pool, normalize_scores
 from lgrpool.propagation import ppr_propagate
 from lgrpool.training import (
+    AdamState,
     RunMetrics,
     TrainingConfig,
     em_train,
     expectation_phase,
-    init_adam,
     maximization_phase,
 )
 
@@ -210,9 +210,7 @@ def test_criterion_04_contraction_properties():
                     for _ in range(3)
                 ]
             )
-            trace = hierarchical_pool(
-                graph, ad.constant(graph.features), params, 0.5, 3
-            )
+            trace = hierarchical_pool(graph, ad.constant(graph.features), params, 0.5)
 
             top = trace.composed_map.max() if len(trace.composed_map) else 0
             assert set(trace.composed_map) == set(range(top + 1)), (
@@ -395,7 +393,7 @@ def test_criterion_09_freeze_and_decoupling():
         )
 
         before = params.snapshot()
-        expectation_phase(train, params, config, init_adam(params.prop.items()), train, 1, RunMetrics())
+        expectation_phase(train, params, config, AdamState(), train, 1, RunMetrics())
         after_e = params.snapshot()
         for name in before:
             if name.startswith("pool."):
@@ -403,7 +401,7 @@ def test_criterion_09_freeze_and_decoupling():
                     f"{name} changed during the expectation phase"
                 )
 
-        maximization_phase(train, params, config, init_adam(params.pool.items()), None, 1, RunMetrics())
+        maximization_phase(train, params, config, AdamState(), None, 1, RunMetrics())
         after_m = params.snapshot()
         for name in after_e:
             if name.startswith("prop."):

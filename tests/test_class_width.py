@@ -35,9 +35,7 @@ def oracle_losses(graph, params, config):
     z_pre = ad.ppr(graph.adj_norm, ad.add(ad.matmul(r, p.w2), p.b2), config.alpha, config.k)
     y_pred = ad.mean_rows(ad.softmax_rows(ad.add(ad.matmul(z_pre, p.wc), p.bc)))
     l_exp = ad.cross_entropy_rows(y_pred, [graph.label])
-    trace = pooling.hierarchical_pool(
-        graph, z_pre, params.pool, config.s_thre, config.num_pooling_layers
-    )
+    trace = pooling.hierarchical_pool(graph, z_pre, params.pool, config.s_thre)
     coarse_edges = trace.layers[-1].coarse_edges if trace.layers else []
     l_precor = pooling.prediction_correction_loss(
         trace.z_cor, z_pre, trace.composed_map, coarse_edges

@@ -1,11 +1,13 @@
 import base64
+import functools
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
 import warnings
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -341,19 +343,13 @@ def _decoded(entry):
     return np.frombuffer(base64.b64decode(entry["f8le"]), "<f8").reshape(entry["shape"])
 
 
-def _with_v1_array(name, edit):
-    """Rewrite the checkpoint in version-1 form (nested number lists), then
-    let ``edit`` change the named list."""
-
-    def damage(payload):
-        payload["format_version"] = 1
-        payload["parameters"] = {
-            key: _decoded(entry).tolist() for key, entry in payload["parameters"].items()
-        }
-        payload["parameters"][name] = edit(payload["parameters"][name])
-        return payload
-
-    return damage
+def _as_v1(payload):
+    """The checkpoint rewritten in version-1 form: nested number lists."""
+    payload["format_version"] = 1
+    payload["parameters"] = {
+        key: _decoded(entry).tolist() for key, entry in payload["parameters"].items()
+    }
+    return payload
 
 
 def _with_v2_entry(name, edit):
@@ -362,14 +358,6 @@ def _with_v2_entry(name, edit):
         return payload
 
     return damage
-
-
-def _set_first(value):
-    def edit(rows):
-        rows[0][0] = value
-        return rows
-
-    return edit
 
 
 def _reencode(transform):
@@ -397,21 +385,7 @@ def _with_inf(arr):
         (_with_config("k", 0), "k must be a positive integer"),
         (_with_config("alpha", 0.0), "alpha must lie in (0, 1]"),
         (_with_config("s_thre", 1.0), "s_thre must lie in (0, 1)"),
-        pytest.param(
-            _with_v1_array("prop.bc", lambda rows: {"x": 1}),
-            "checkpoint array prop.bc is malformed",
-            id="v1-object-for-list",
-        ),
-        pytest.param(
-            _with_v1_array("prop.bc", lambda rows: "abc"),
-            "checkpoint array prop.bc is malformed",
-            id="v1-string-for-list",
-        ),
-        pytest.param(
-            _with_v1_array("prop.bc", _set_first(float("nan"))),
-            "checkpoint array prop.bc has non-finite values",
-            id="v1-nan",
-        ),
+        pytest.param(_as_v1, "unsupported checkpoint version 1", id="v1-rejected"),
         pytest.param(
             _with_v2_entry("prop.w1", lambda entry: entry.pop("shape")),
             "checkpoint array prop.w1 is malformed: 'shape'",
@@ -451,7 +425,7 @@ def test_eval_malformed_checkpoint_exits_1(trained, tmp_path, capsys, damage, na
     path.write_text(json.dumps(damage(json.loads(path.read_text()))))
     assert main(["eval", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and named in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
 
 def test_train_and_ablate_parse_the_dataset_once(toy_dir, tmp_path, monkeypatch, capsys):
@@ -625,11 +599,21 @@ def test_worker_empty_split_exits_1_as_serially(cfg_file, tmp_path, capsys):
     assert errs[0] == errs[1] == "error: split sizes (4, 0, 1) contain an empty part\n"
 
 
+@pytest.fixture
+def forked_pool(monkeypatch):
+    """Pools with forked workers, which run this process's patched functions
+    whatever the platform's default start method."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the fork start method is unavailable")
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=fork))
+
+
+@pytest.mark.usefixtures("forked_pool")
 def test_worker_non_finite_reaches_main_and_exits_2(toy_dir, cfg_file, tmp_path, monkeypatch, capsys):
     def diverging_fit(dataset, config):
         raise NonFinite(f"seed {config.seed} diverged")
 
-    # Pool workers are forked after this, so they run the stand-in too.
     monkeypatch.setattr(cli, "_fit", diverging_fit)
     errs = []
     for jobs in ("1", "2"):
@@ -638,6 +622,25 @@ def test_worker_non_finite_reaches_main_and_exits_2(toy_dir, cfg_file, tmp_path,
         assert rc == 2
         errs.append(capsys.readouterr().err)
     assert errs[0] == errs[1] == "aborted on non-finite loss: seed 0 diverged\n"
+
+
+@pytest.mark.usefixtures("forked_pool")
+def test_crashed_worker_exits_4_with_one_line(toy_dir, cfg_file, tmp_path, monkeypatch, capfd):
+    fit = cli._fit
+
+    def crashing_fit(dataset, config):
+        if config.seed == 1:
+            os._exit(9)
+        return fit(dataset, config)
+
+    monkeypatch.setattr(cli, "_fit", crashing_fit)
+    rc = main(["train", "--dataset", toy_dir, "--config", cfg_file, "--seeds", "0,1",
+               "--jobs", "2", "--out", str(tmp_path / "out")])
+    err = capfd.readouterr().err
+    assert rc == 4
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: a worker process died; ") and err.endswith(" of 2 jobs finished\n")
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------- ablate

@@ -13,12 +13,12 @@ from lgrpool.data import Graph, build_normalized_adjacency, emit_tu_dataset, ite
 from lgrpool.model import ParameterSet, graph_total_loss, init_parameters
 from lgrpool.pooling import PoolLayerParams, score_edges
 from lgrpool.training import (
+    AdamState,
     TrainingConfig,
     RunMetrics,
     adam_step,
     evaluate,
     expectation_phase,
-    init_adam,
     lr_schedule,
     maximization_phase,
     mean_precor_error,
@@ -48,7 +48,7 @@ def full_tape_maximization_phase(train, params, config, val):
     Returns per-epoch (l_exp, l_precor, l_tot, val_acc), the pooling
     gradients of every step, and the closing mean |l_precor|.
     """
-    opt_state = init_adam(params.pool.items())
+    opt_state = AdamState()
     pool_items = params.pool.items()
     records, grads = [], []
     for epoch in range(config.epochs, 2 * config.epochs):  # round 1's M epochs
@@ -74,7 +74,7 @@ def trained_pair(seed):
     pair = []
     for _ in range(2):
         params = init_parameters(train.feature_dim, cfg.hidden, train.num_classes, cfg.num_pooling_layers, seed)
-        expectation_phase(train, params, cfg, init_adam(params.prop.items()), val, 1, RunMetrics())
+        expectation_phase(train, params, cfg, AdamState(), val, 1, RunMetrics())
         pair.append(params)
     return train, val, cfg, pair
 
@@ -95,7 +95,7 @@ def test_constant_theta_m_phase_is_bitwise_full_tape(monkeypatch):
         metrics = RunMetrics()
         val_acc = evaluate(params, val, cfg)
         err = maximization_phase(
-            train, params, cfg, init_adam(params.pool.items()), val_acc=val_acc, em_round=1, metrics=metrics
+            train, params, cfg, AdamState(), val_acc=val_acc, em_round=1, metrics=metrics
         )
         monkeypatch.undo()
 

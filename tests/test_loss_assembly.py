@@ -31,7 +31,7 @@ def hand_assembly(graph, ps, alpha, k, s_thre, num_layers, gamma):
     l_exp = propagation.expectation_loss(y_pred, graph.label)
     h = ad.add(ad.matmul(r, p.w2), p.b2)
     z_pre = propagation.ppr_propagate(graph.adj_norm, h, alpha=alpha, k=k)
-    trace = pooling.hierarchical_pool(graph, z_pre, ps.pool, s_thre, num_layers)
+    trace = pooling.hierarchical_pool(graph, z_pre, ps.pool, s_thre)
     coarse_edges = trace.layers[-1].coarse_edges if trace.layers else []
     l_precor = pooling.prediction_correction_loss(
         trace.z_cor, z_pre, trace.composed_map, coarse_edges
@@ -131,7 +131,7 @@ def test_inspect_trace_matches_detached_pooling(tmp_path, capsys):
             graph.adj_norm, ad.add(ad.matmul(r, p.w2), p.b2), config.alpha, config.k
         )
         want = pooling.hierarchical_pool(
-            graph, ad.constant(z_pre.data), params.pool, config.s_thre, 3
+            graph, ad.constant(z_pre.data), params.pool, config.s_thre
         ).summary()
         argv = ["inspect", "--dataset", str(tmp_path / "TOY"), "--config", str(cfg),
                 "--graph", str(index)]

@@ -155,7 +155,7 @@ def test_single_node_graph_depth_zero():
     graph = make_graph(1, [])
     z = ad.constant(np.ones((1, 3)))
     params = init_pooling_params(3, 4, np.random.default_rng(6))
-    trace = hierarchical_pool(graph, z, params, 0.5, 4)
+    trace = hierarchical_pool(graph, z, params, 0.5)
     assert trace.effective_depth == 0
     assert trace.composed_map.tolist() == [0]
     assert trace.z_cor is z
@@ -165,7 +165,7 @@ def test_two_node_graph_stops_before_any_layer():
     graph = make_graph(2, [(0, 1)])
     z = ad.constant(np.random.default_rng(7).normal(size=(2, 3)))
     params = init_pooling_params(3, 5, np.random.default_rng(7))
-    trace = hierarchical_pool(graph, z, params, 0.5, 5)
+    trace = hierarchical_pool(graph, z, params, 0.5)
     assert trace.effective_depth == 0
     assert trace.z_cor is z
 
@@ -176,7 +176,7 @@ def test_single_layer_matches_direct_contraction():
     z = ad.constant(rng.normal(size=(5, 3)))
     params = PoolingParams(layers=[random_layer(rng, 3)])
 
-    trace = hierarchical_pool(graph, z, params, 0.5, 1)
+    trace = hierarchical_pool(graph, z, params, 0.5)
     scores = score_edges(z, graph.edges, params.layers[0])
     norm = normalize_scores(scores, graph.edges, 5, 0.5)
     if not norm.surviving.any():
@@ -198,7 +198,7 @@ def test_connected_graph_collapses_when_everything_survives():
         PoolLayerParams(w=ad.parameter(rng.normal(size=(3, 3))), a=ad.parameter(np.zeros((6, 1))))
         for _ in range(4)
     ]
-    trace = hierarchical_pool(graph, z, PoolingParams(layers=layers), 0.5, 4)
+    trace = hierarchical_pool(graph, z, PoolingParams(layers=layers), 0.5)
     assert trace.effective_depth == 1
     assert trace.layers[0].merge.num_supernodes == 1
     assert np.all(trace.composed_map == 0)
@@ -270,8 +270,8 @@ def test_pipeline_permutation_invariance():
 
         z = ad.constant(graph.features)
         zp = ad.constant(permuted.features)
-        a = hierarchical_pool(graph, z, params, 0.5, 3)
-        b = hierarchical_pool(permuted, zp, params, 0.5, 3)
+        a = hierarchical_pool(graph, z, params, 0.5)
+        b = hierarchical_pool(permuted, zp, params, 0.5)
         assert a.effective_depth == b.effective_depth
         counts = lambda t: [lt.merge.num_supernodes for lt in t.layers]
         assert counts(a) == counts(b)
@@ -308,7 +308,7 @@ def test_contraction_soundness_properties():
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35]
         graph = make_graph(n, edges, features=rng.normal(size=(n, 4)))
         params = PoolingParams(layers=[random_layer(rng, 4) for _ in range(3)])
-        trace = hierarchical_pool(graph, ad.constant(graph.features), params, 0.5, 3)
+        trace = hierarchical_pool(graph, ad.constant(graph.features), params, 0.5)
 
         assert set(trace.composed_map) == set(range(trace.composed_map.max() + 1))
 

@@ -158,7 +158,7 @@ def test_array_pooling_matches_per_edge_oracles_bitwise():
             layer.a.data[...] = rng.normal(size=layer.a.data.shape)
         z = ad.constant(rng.normal(size=(graph.num_nodes, HIDDEN)))
 
-        got = hierarchical_pool(graph, z, params, s_thre, NUM_LAYERS)
+        got = hierarchical_pool(graph, z, params, s_thre)
         want, want_z = oracle_pool(graph, z, params, s_thre, NUM_LAYERS)
         tag = f"case {case} ({kind})"
         assert got.effective_depth == len(want), tag

@@ -45,7 +45,7 @@ def losses(graph, params, alpha, k, s_thre):
     l_exp = expectation_loss(classify(graph.adj_norm, r, p, alpha, k), graph.label)
     h = ad.add(ad.matmul(r, p.w2), p.b2)
     z_pre = propagation.ppr_propagate(graph.adj_norm, h, alpha, k)
-    trace = pooling.hierarchical_pool(graph, z_pre, params.pool, s_thre, NUM_LAYERS)
+    trace = pooling.hierarchical_pool(graph, z_pre, params.pool, s_thre)
     coarse_edges = trace.layers[-1].coarse_edges if trace.layers else []
     l_precor = pooling.prediction_correction_loss(trace.z_cor, z_pre, trace.composed_map, coarse_edges)
     return z_pre, l_exp, trace, pooling.total_loss(l_exp, l_precor, 0.2)

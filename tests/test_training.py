@@ -26,7 +26,6 @@ from lgrpool.training import (
     em_train,
     evaluate,
     expectation_phase,
-    init_adam,
     load_checkpoint,
     lr_schedule,
     maximization_phase,
@@ -144,7 +143,7 @@ def test_lr_schedule_non_increasing():
 def test_adam_zero_gradient_leaves_parameters():
     p = ad.parameter(np.array([[1.0, 2.0]]))
     named = [("p", p)]
-    state = init_adam(named)
+    state = AdamState()
     before = p.data.copy()
     for _ in range(3):
         p.zero_grad()
@@ -156,7 +155,7 @@ def test_adam_constant_gradient_update_approaches_lr():
     cfg = TrainingConfig()
     p = ad.parameter(np.array([[0.0]]))
     named = [("p", p)]
-    state = init_adam(named)
+    state = AdamState()
     lr = 1e-3
     last = None
     for _ in range(500):
@@ -171,10 +170,92 @@ def test_adam_constant_gradient_update_approaches_lr():
 def test_adam_zero_lr_keeps_parameters():
     p = ad.parameter(np.array([[1.0]]))
     named = [("p", p)]
-    state = init_adam(named)
+    state = AdamState()
     p.accumulate_grad(np.array([[3.0]]))
     adam_step(named, state, 0.0, TrainingConfig())
     assert p.data[0, 0] == 1.0
+
+
+def eager_adam_step(named_params, state, lr, config):
+    """Oracle: Adam with zero moments for every parameter from the first
+    step on and the full update every step, whatever the gradient."""
+    for name, p in named_params:
+        state.m.setdefault(name, np.zeros_like(p.data))
+        state.v.setdefault(name, np.zeros_like(p.data))
+    state.step += 1
+    t = state.step
+    for name, p in named_params:
+        g, m, v = p.grad, state.m[name], state.v[name]
+        m *= config.beta1
+        m += (1.0 - config.beta1) * g
+        v *= config.beta2
+        v += (1.0 - config.beta2) * g * g
+        m_hat = m / (1.0 - config.beta1**t)
+        v_hat = v / (1.0 - config.beta2**t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + config.eps_adam)
+
+
+def test_adam_moments_start_at_the_first_nonzero_gradient_as_eager_adam_bitwise():
+    cfg = TrainingConfig()
+    lazy_p, eager_p = ad.parameter(np.array([[0.7]])), ad.parameter(np.array([[0.7]]))
+    lazy, eager = AdamState(), AdamState()
+    for t, g in enumerate([0.0, 0.0, 0.0, 2.5, 0.0], start=1):
+        for p in (lazy_p, eager_p):
+            p.zero_grad()
+            p.accumulate_grad(np.array([[g]]))
+        adam_step([("p", lazy_p)], lazy, 1e-3, cfg)
+        eager_adam_step([("p", eager_p)], eager, 1e-3, cfg)
+        assert lazy.step == eager.step == t
+        assert lazy_p.data.tobytes() == eager_p.data.tobytes(), t
+        if t < 4:
+            assert lazy.m == lazy.v == {}
+        else:
+            # Step 4 makes the moments and bias-corrects them for t = 4, not 1.
+            assert lazy.m["p"].tobytes() == eager.m["p"].tobytes(), t
+            assert lazy.v["p"].tobytes() == eager.v["p"].tobytes(), t
+    assert lazy_p.data[0, 0] != 0.7
+
+
+def test_em_train_with_lazy_adam_moments_matches_eager_adam_bitwise(monkeypatch):
+    train, val, test = toy_splits()
+    # On this split pooling dies between the rounds: layers 0 and 1 get
+    # gradients in round 1 and none in round 2, where their momentum still
+    # moves them; layer 2 never gets one.
+    config = TOY_CONFIG.with_overrides(num_pooling_layers=3, epochs=3, lr0=0.01, seed=4)
+    lazy_step, real_maximization = training.adam_step, training.maximization_phase
+    em_round, reached, pool_state, runs = [0], {}, {}, {}
+
+    def maximization(*args, **kwargs):
+        em_round[0] = kwargs["em_round"]
+        return real_maximization(*args, **kwargs)
+
+    def recording(step):
+        def record(named, state, lr, cfg):
+            if named[0][0].startswith("pool."):
+                pool_state[step] = state
+                live = {name.split(".")[1] for name, p in named if p.grad.any()}
+                reached.setdefault((step, em_round[0]), set()).update(live)
+            step(named, state, lr, cfg)
+
+        return record
+
+    monkeypatch.setattr(training, "maximization_phase", maximization)
+    for step in (lazy_step, eager_adam_step):
+        monkeypatch.setattr(training, "adam_step", recording(step))
+        runs[step] = em_train(train, val, test, config)
+
+    assert reached[lazy_step, 1] == {"0", "1"} and reached[lazy_step, 2] == set()
+    assert sorted(pool_state[lazy_step].m) == ["pool.0.a", "pool.0.w", "pool.1.a", "pool.1.w"]
+    (lazy_params, lazy_metrics), (eager_params, eager_metrics) = runs[lazy_step], runs[eager_adam_step]
+    assert lazy_metrics.epochs == eager_metrics.epochs
+    assert lazy_metrics.em_errors == eager_metrics.em_errors
+    assert lazy_metrics.test_acc == eager_metrics.test_acc
+    eager_snapshot = eager_params.snapshot()
+    for name, arr in lazy_params.snapshot().items():
+        assert arr.tobytes() == eager_snapshot[name].tobytes(), name
+    for name, m in pool_state[lazy_step].m.items():
+        assert m.tobytes() == pool_state[eager_adam_step].m[name].tobytes(), name
+        assert pool_state[lazy_step].v[name].tobytes() == pool_state[eager_adam_step].v[name].tobytes(), name
 
 
 # ---------------------------------------------------------------- phases
@@ -197,7 +278,7 @@ def test_expectation_phase_decreases_loss_on_tiny_set():
             return total / len(ds.graphs)
 
         before = mean_l_exp()
-        expectation_phase(ds, params, cfg, init_adam(params.prop.items()), ds, 1, RunMetrics())
+        expectation_phase(ds, params, cfg, AdamState(), ds, 1, RunMetrics())
         if mean_l_exp() < before:
             wins += 1
     assert wins >= 9
@@ -209,7 +290,7 @@ def test_expectation_phase_ignores_gamma():
     for gamma in (0.0, 0.2, 5.0):
         cfg = TOY_CONFIG.with_overrides(gamma=gamma)
         params = init_parameters(train.feature_dim, cfg.hidden, train.num_classes, cfg.num_pooling_layers, 0)
-        expectation_phase(train, params, cfg, init_adam(params.prop.items()), val, 1, RunMetrics())
+        expectation_phase(train, params, cfg, AdamState(), val, 1, RunMetrics())
         outs.append(params.snapshot())
     for name in outs[0]:
         assert np.array_equal(outs[0][name], outs[1][name])
@@ -222,13 +303,13 @@ def test_freeze_contracts_are_bitwise():
     params = init_parameters(train.feature_dim, cfg.hidden, train.num_classes, cfg.num_pooling_layers, 0)
 
     before = params.snapshot()
-    expectation_phase(train, params, cfg, init_adam(params.prop.items()), val, 1, RunMetrics())
+    expectation_phase(train, params, cfg, AdamState(), val, 1, RunMetrics())
     after_e = params.snapshot()
     for name in before:
         if name.startswith("pool."):
             assert np.array_equal(before[name], after_e[name]), name
 
-    maximization_phase(train, params, cfg, init_adam(params.pool.items()), None, 1, RunMetrics())
+    maximization_phase(train, params, cfg, AdamState(), None, 1, RunMetrics())
     after_m = params.snapshot()
     for name in after_e:
         if name.startswith("prop."):
@@ -251,7 +332,7 @@ def test_maximization_phase_zero_gamma_keeps_pooling():
     for name, p in params.pool.items():
         assert np.array_equal(p.grad, np.zeros_like(p.data)), name
 
-    maximization_phase(train, params, cfg, init_adam(params.pool.items()), None, 1, RunMetrics())
+    maximization_phase(train, params, cfg, AdamState(), None, 1, RunMetrics())
     after = params.snapshot()
     for name in before:
         if name.startswith("pool."):
@@ -265,7 +346,7 @@ def test_maximization_phase_reduces_precor_error():
         cfg = TOY_CONFIG.with_overrides(seed=seed, epochs=4, batch_size=6)
         params = init_parameters(ds.feature_dim, cfg.hidden, ds.num_classes, cfg.num_pooling_layers, seed)
         before = mean_precor_error(ds, params, cfg)
-        after = maximization_phase(ds, params, cfg, init_adam(params.pool.items()), None, 1, RunMetrics())
+        after = maximization_phase(ds, params, cfg, AdamState(), None, 1, RunMetrics())
         if after <= before + 1e-12:
             wins += 1
     assert wins >= 8
@@ -389,7 +470,7 @@ def offset_em_train(train, val, test, config):
         train.feature_dim, config.hidden, train.num_classes, config.num_pooling_layers, config.seed
     )
     prop_items, pool_items = params.prop.items(), params.pool.items()
-    prop_state, pool_state = init_adam(prop_items), init_adam(pool_items)
+    prop_state, pool_state = AdamState(), AdamState()
     n = len(train.graphs)
     records, em_errors = [], []
     prev_err = mean_precor_error(train, params, config)
@@ -528,8 +609,8 @@ def test_empty_train_set_raises_empty_split(phase):
     empty = GraphDataset(graphs=[], num_classes=2, feature_dim=2, name="empty")
     params = init_parameters(2, TOY_CONFIG.hidden, 2, TOY_CONFIG.num_pooling_layers, 0)
     state_args = {
-        expectation_phase: (init_adam(params.prop.items()), empty, 1, RunMetrics()),
-        maximization_phase: (init_adam(params.pool.items()), None, 1, RunMetrics()),
+        expectation_phase: (AdamState(), empty, 1, RunMetrics()),
+        maximization_phase: (AdamState(), None, 1, RunMetrics()),
     }
     with pytest.raises(EmptySplit):
         phase(empty, params, TOY_CONFIG, *state_args.get(phase, ()))
@@ -587,23 +668,18 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(a[name], b[name]), name
 
 
-def test_version_1_checkpoint_still_loads(tmp_path):
+def test_version_1_checkpoint_is_rejected(tmp_path):
     params = init_parameters(37, 200, 2, 14, 0)
     path = tmp_path / "v1.json"
-    # The version-1 writer, kept here as the oracle: nested number lists.
+    # The version-1 writer, kept here as the fixture: nested number lists.
     payload = {
         "format_version": 1,
         "config": TOY_CONFIG.to_dict(),
         "parameters": {name: arr.tolist() for name, arr in params.snapshot().items()},
     }
     path.write_text(json.dumps(payload))
-    config, arrays = load_checkpoint(path)
-    assert config == TOY_CONFIG
-    expected = params.snapshot()
-    assert arrays.keys() == expected.keys()
-    for name, arr in expected.items():
-        assert arrays[name].dtype == np.float64
-        assert arrays[name].tobytes() == arr.tobytes(), name
+    with pytest.raises(ValueError, match="^unsupported checkpoint version 1$"):
+        load_checkpoint(path)
 
 
 def test_version_2_checkpoint_round_trips_bitwise_and_deterministically(tmp_path):
