@@ -1,6 +1,9 @@
 """Command-line driver: train, eval, gradcheck, ablate, inspect; with
 `--graph N`, inspect traces graph N's pooling under untrained seed-0 parameters.
 
+A `--config` file sets every TrainingConfig field but ``seed``, which
+`--seeds` sets per run; `ablate --gamma` sets each job's gamma.
+
 Outputs are plain UTF-8 JSON and CSV. A run manifest (command, config,
 dataset, seeds, ablate's gamma grid, input content hash, output directory)
 is written before any training starts, so a directory of artifacts is
@@ -31,6 +34,8 @@ from .model import graph_precor_loss, graph_total_loss
 from .training import TrainingConfig
 
 GRADCHECK_TOLERANCE = 1e-4
+# Every fixture edge score clears s_thre by this much, 100x grad_check's step.
+GRADCHECK_SCORE_MARGIN = 1e-4
 DEFAULT_GAMMA_GRID = (0.10, 0.15, 0.20, 0.25, 0.30)
 
 
@@ -38,7 +43,8 @@ DEFAULT_GAMMA_GRID = (0.10, 0.15, 0.20, 0.25, 0.30)
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat key=value lines with # comments; values typed per config field."""
+    """Flat key=value lines with # comments; values typed per config field.
+    ``seed`` is not a file key: ``--seeds`` sets it for every run."""
     field_types = {f.name: f.type for f in fields(TrainingConfig)}
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -51,6 +57,8 @@ def parse_config_file(path: str) -> dict:
             key, _, text = line.partition("=")
             key = key.strip()
             text = text.strip()
+            if key == "seed":
+                raise ValueError(f"{path}:{lineno}: seed is not a config key; use --seeds")
             if key not in field_types:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
@@ -63,10 +71,8 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def load_config(path: str | None, overrides: dict) -> TrainingConfig:
-    values = parse_config_file(path) if path else {}
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    return TrainingConfig.from_dict(values)
+def load_config(path: str | None) -> TrainingConfig:
+    return TrainingConfig.from_dict(parse_config_file(path) if path else {})
 
 
 def _distinct(values: list, what: str, text: str) -> list:
@@ -246,7 +252,7 @@ def _summary(per_seed: dict) -> dict:
 
 
 def cmd_train(args) -> int:
-    config = load_config(args.config, {"gamma": args.gamma})
+    config = load_config(args.config)
     seeds = parse_seeds(args.seeds)
     dataset, out_dir = _open_run("train", args, config, seeds)
     results = _run_jobs(
@@ -285,7 +291,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    config = load_config(args.config, {})
+    config = load_config(args.config)
     seeds = parse_seeds(args.seeds)
     gammas = parse_gammas(args.gamma) if args.gamma else list(DEFAULT_GAMMA_GRID)
     # Building the job configs checks every gamma before the dataset is read.
@@ -307,7 +313,7 @@ def cmd_inspect(args) -> int:
     if args.graph is not None:
         if not 0 <= args.graph < len(dataset):
             raise ValueError(f"--graph {args.graph} is outside the dataset's {len(dataset)} graphs")
-        config = load_config(args.config, {}).with_overrides(seed=0)
+        config = load_config(args.config)
         params = training.initial_parameters(dataset, config).constants()
         with training.labelled("inspect trace"):
             _, trace = graph_precor_loss(dataset.graphs[args.graph], params, config)
@@ -379,7 +385,7 @@ def _gradcheck_graph():
     )
 
 
-def full_loss_target(eps: float):
+def full_loss_target():
     """Builder and parameters for model.graph_total_loss, the loss that
     training runs, on the fixed 6-node graph pooled to depth 2.
 
@@ -392,7 +398,6 @@ def full_loss_target(eps: float):
     """
     dataset = data_mod.GraphDataset([_gradcheck_graph()], num_classes=3, feature_dim=4, name="gradcheck")
     config = TrainingConfig(alpha=0.3, k=4, s_thre=0.5, num_pooling_layers=2, gamma=0.2, hidden=5)
-    margin = max(1e-4, 10.0 * eps)
 
     def build_loss(params_set):
         losses = graph_total_loss(dataset.graphs[0], params_set, config)
@@ -404,16 +409,15 @@ def full_loss_target(eps: float):
         if trace.effective_depth != config.num_pooling_layers:
             continue
         margins = [np.abs(lt.scores.data - config.s_thre).min() for lt in trace.layers]
-        if min(margins) < margin:
+        if min(margins) < GRADCHECK_SCORE_MARGIN:
             continue
         return (lambda ps: build_loss(ps)[0]), params_set
     raise RuntimeError("no admissible gradcheck fixture found")
 
 
-def run_gradcheck(eps: float, stream=None) -> int:
+def run_gradcheck(stream=None) -> int:
     """One grad_check per primitive, then one over every block of the full
-    loss. The primitives go first, so a bad eps is rejected before the
-    full-loss fixture search runs with it."""
+    loss, each at grad_check's default step."""
     stream = stream or sys.stdout
     failed = []
 
@@ -424,9 +428,9 @@ def run_gradcheck(eps: float, stream=None) -> int:
             failed.append(label.removeprefix("primitive "))
 
     for name, builder, params in primitive_targets():
-        report(f"primitive {name}", max(ad.grad_check(builder, params, eps=eps).values()))
-    loss, params_set = full_loss_target(eps)
-    for block, err in ad.grad_check(loss, params_set, eps=eps).items():
+        report(f"primitive {name}", max(ad.grad_check(builder, params).values()))
+    loss, params_set = full_loss_target()
+    for block, err in ad.grad_check(loss, params_set).items():
         report(f"l_tot {block}", err)
     if failed:
         print("gradcheck failed: " + ", ".join(failed), file=stream)
@@ -436,7 +440,7 @@ def run_gradcheck(eps: float, stream=None) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    return run_gradcheck(args.eps)
+    return run_gradcheck()
 
 
 # ---------------------------------------------------------------- entrypoint
@@ -469,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_train)
     p_train.add_argument("--out", default=None, help="output directory")
     p_train.add_argument("--seeds", default="0", help='"A..B" inclusive or comma list')
-    p_train.add_argument("--gamma", type=float, default=None, help="override the regularizer weight")
     p_train.add_argument("--jobs", type=_job_count, default=1, help="concurrent seed jobs")
     p_train.set_defaults(fn=cmd_train)
 
@@ -487,11 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ablate.add_argument("--jobs", type=_job_count, default=1, help="concurrent (gamma, seed) jobs")
     p_ablate.set_defaults(fn=cmd_ablate)
 
-    p_grad = sub.add_parser("gradcheck")
-    p_grad.add_argument(
-        "--eps", type=float, default=1e-6, help="finite-difference step in [1e-7, 1e-3]; default 1e-6"
-    )
-    p_grad.set_defaults(fn=cmd_gradcheck)
+    sub.add_parser("gradcheck").set_defaults(fn=cmd_gradcheck)
 
     p_inspect = sub.add_parser("inspect")
     common(p_inspect)

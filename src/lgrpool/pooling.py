@@ -128,10 +128,10 @@ def score_edges(z: Value, edges, layer: PoolLayerParams) -> Value:
     """
     ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     h = layer.w.data.shape[1]
-    p = ad.matmul(z, layer.w)
-    # [p_i, p_j] @ a == p_i @ a[:h] + p_j @ a[h:]: project nodes, then gather.
-    proj_i = ad.matmul(p, ad.gather_rows(layer.a, np.arange(h)))
-    proj_j = ad.matmul(p, ad.gather_rows(layer.a, np.arange(h, 2 * h)))
+    # [z_i W, z_j W] @ a == z_i (W a[:h]) + z_j (W a[h:]): fold a into W, so
+    # each node projects onto one column instead of h, then gather.
+    proj_i = ad.matmul(z, ad.matmul(layer.w, ad.gather_rows(layer.a, np.arange(h))))
+    proj_j = ad.matmul(z, ad.matmul(layer.w, ad.gather_rows(layer.a, np.arange(h, 2 * h))))
     s_ij = ad.sigmoid(ad.add(ad.gather_rows(proj_i, ends[:, 0]), ad.gather_rows(proj_j, ends[:, 1])))
     s_ji = ad.sigmoid(ad.add(ad.gather_rows(proj_i, ends[:, 1]), ad.gather_rows(proj_j, ends[:, 0])))
     return ad.scale(ad.add(s_ij, s_ji), 0.5)

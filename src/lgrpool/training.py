@@ -9,6 +9,7 @@ each group's optimizer state once per run, so Adam's moments carry across
 rounds and a phase can never touch the other group's parameters or moments.
 A parameter's moments are made at its first nonzero gradient: until then
 Adam moves it by exactly zero, so a layer no gradient reaches costs no work.
+Adam's betas and epsilon are Kingma & Ba's defaults, fixed here, not settings.
 """
 from __future__ import annotations
 
@@ -27,7 +28,10 @@ from .data import GraphDataset, iterate_batches
 from .errors import EmptySplit, NonFinite
 from .model import ParameterSet, init_parameters
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -39,9 +43,6 @@ class TrainingConfig:
     epochs: int = 100
     hidden: int = 200
     lr0: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
     gamma: float = 0.2
     s_thre: float = 0.5
     em_rounds_max: int = 10
@@ -54,9 +55,7 @@ class TrainingConfig:
             number = int if f.type == "int" else (int, float)
             if isinstance(value, bool) or not isinstance(value, number):
                 raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
-            # An infinite em_tolerance means "stop after the first round".
-            allowed_inf = f.name == "em_tolerance" and value == np.inf
-            if f.type == "float" and not (np.isfinite(value) or allowed_inf):
+            if f.type == "float" and not np.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         for name in ("batch_size", "num_pooling_layers", "k", "epochs", "hidden", "em_rounds_max"):
             if getattr(self, name) < 1:
@@ -67,11 +66,8 @@ class TrainingConfig:
             raise ValueError(f"gamma must be non-negative, got {self.gamma}")
         if not (0.0 < self.s_thre < 1.0):
             raise ValueError(f"s_thre must lie in (0, 1), got {self.s_thre}")
-        if self.lr0 <= 0 or self.eps_adam <= 0 or self.em_tolerance <= 0:
-            raise ValueError("lr0, eps_adam and em_tolerance must be positive")
-        for name in ("beta1", "beta2"):
-            if not (0.0 <= getattr(self, name) < 1.0):
-                raise ValueError(f"{name} must lie in [0, 1)")
+        if self.lr0 <= 0 or self.em_tolerance <= 0:
+            raise ValueError("lr0 and em_tolerance must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -118,7 +114,7 @@ class AdamState:
     step: int = 0
 
 
-def adam_step(named_params, state: AdamState, lr: float, config: TrainingConfig) -> None:
+def adam_step(named_params, state: AdamState, lr: float) -> None:
     """Bias-corrected Adam update in place, reading accumulated gradients."""
     state.step += 1
     t = state.step
@@ -130,13 +126,13 @@ def adam_step(named_params, state: AdamState, lr: float, config: TrainingConfig)
             state.m[name], state.v[name] = np.zeros_like(g), np.zeros_like(g)
         m = state.m[name]
         v = state.v[name]
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * g * g
-        m_hat = m / (1.0 - config.beta1**t)
-        v_hat = v / (1.0 - config.beta2**t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + config.eps_adam)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -232,7 +228,7 @@ def _train_phase(phase, train, params, group, opt_state, loss_of, val_acc, confi
                     for name, value in reported.items():
                         sums[name] = sums.get(name, 0.0) + value.data[0, 0]
                     ad.backward(ad.scale(loss, 1.0 / len(batch)))
-                adam_step(group, opt_state, lr, config)
+                adam_step(group, opt_state, lr)
             means = {name: total / len(train.graphs) for name, total in sums.items()}
             metrics.epochs.append(
                 EpochRecord(epoch=epoch, phase=phase, em_round=em_round, val_acc=val_acc(), **means)

@@ -126,7 +126,7 @@ def test_criterion_02_gradient_suite():
     def check():
         t0 = time.perf_counter()
         stream = io.StringIO()
-        rc = run_gradcheck(1e-6, stream=stream)
+        rc = run_gradcheck(stream=stream)
         elapsed = time.perf_counter() - t0
         lines = stream.getvalue().strip().split("\n")
         assert rc == 0, f"gradcheck exit {rc}: {lines[-1]}"

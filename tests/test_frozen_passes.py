@@ -60,7 +60,7 @@ def full_tape_maximization_phase(train, params, config, val):
                 sums += [losses.l_exp.data[0, 0], losses.l_precor.data[0, 0], losses.l_tot.data[0, 0]]
                 ad.backward(ad.scale(losses.l_tot, 1.0 / len(batch)))
             grads.append([p.grad.copy() for _, p in pool_items])
-            adam_step(pool_items, opt_state, lr_schedule(epoch, config.lr0), config)
+            adam_step(pool_items, opt_state, lr_schedule(epoch, config.lr0))
         records.append((*(sums / len(train.graphs)), evaluate(params, val, config)))
     err = sum(abs(full_tape_loss(g, params, config).l_precor.data[0, 0]) for g in train.graphs)
     return records, grads, err / len(train.graphs)
@@ -87,9 +87,9 @@ def test_constant_theta_m_phase_is_bitwise_full_tape(monkeypatch):
         got_grads = []
         real_adam_step = training.adam_step
 
-        def recording_adam_step(items, state, lr, config):
+        def recording_adam_step(items, state, lr):
             got_grads.append([p.grad.copy() for _, p in items])
-            real_adam_step(items, state, lr, config)
+            real_adam_step(items, state, lr)
 
         monkeypatch.setattr(training, "adam_step", recording_adam_step)
         metrics = RunMetrics()

@@ -69,7 +69,7 @@ def assert_same_assembly(graph, snapshot, shape, setting, label):
 
 
 def test_gradcheck_fixture_is_the_training_loss():
-    _, fixture = cli.full_loss_target(1e-6)
+    _, fixture = cli.full_loss_target()
     counts = assert_same_assembly(
         cli._gradcheck_graph(), fixture.snapshot(), (4, 5, 3, 2), (0.3, 4, 0.5, 2, 0.2), "fixture"
     )
@@ -121,7 +121,7 @@ def test_inspect_trace_matches_detached_pooling(tmp_path, capsys):
     emit_tu_dataset(dataset, str(tmp_path / "TOY"))
     cfg = tmp_path / "trace.cfg"
     cfg.write_text("hidden = 6\nnum_pooling_layers = 3\nk = 3\n")
-    config = cli.load_config(str(cfg), {})
+    config = cli.load_config(str(cfg))
     params = init_parameters(dataset.feature_dim, 6, dataset.num_classes, 3, seed=0)
     depths = []
     for index, graph in enumerate(dataset.graphs):

@@ -343,7 +343,7 @@ def test_supernode_count_monotone_in_threshold():
 
 
 def test_pooling_parameters_pass_grad_check():
-    builder, params_set = full_loss_target(1e-6)
+    builder, params_set = full_loss_target()
     for name, err in ad.grad_check(builder, params_set, eps=1e-6).items():
         if not name.startswith("pool."):
             continue
