@@ -219,10 +219,11 @@ def _ablate_one(dataset, config: TrainingConfig):
     return config.gamma, config.seed, metrics.test_acc
 
 
-def _run_jobs(worker, jobs_args, num_jobs: int):
+def _run_jobs(worker, jobs_args, labels, num_jobs: int):
     """worker(*args) for each args, in order, over at most num_jobs
     processes and never more processes than jobs. Once no job is left, the
-    first failure in job order is raised, or BrokenExecutor if a worker died."""
+    first failure in job order is raised, or BrokenExecutor if a worker died,
+    naming the label of each job that has no result."""
     workers = min(num_jobs, len(jobs_args))
     if workers <= 1:
         results, failures = [], []
@@ -236,9 +237,12 @@ def _run_jobs(worker, jobs_args, num_jobs: int):
         return results
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(worker, *args) for args in jobs_args]
-    finished = sum(not isinstance(f.exception(), BrokenExecutor) for f in futures)
-    if finished < len(futures):
-        raise BrokenExecutor(f"a worker process died; {finished} of {len(futures)} jobs finished")
+    lost = [label for label, f in zip(labels, futures) if isinstance(f.exception(), BrokenExecutor)]
+    if lost:
+        raise BrokenExecutor(
+            f"a worker process died; {len(futures) - len(lost)} of {len(futures)} jobs finished;"
+            f" no result for {', '.join(lost)}"
+        )
     return [f.result() for f in futures]
 
 
@@ -258,6 +262,7 @@ def cmd_train(args) -> int:
     results = _run_jobs(
         _train_one_seed,
         [(dataset, config.with_overrides(seed=seed), out_dir) for seed in seeds],
+        [f"seed {seed}" for seed in seeds],
         args.jobs,
     )
     per_seed = {seed: acc for seed, acc, _ in results}
@@ -297,7 +302,8 @@ def cmd_ablate(args) -> int:
     # Building the job configs checks every gamma before the dataset is read.
     job_configs = [config.with_overrides(gamma=g, seed=s) for g in gammas for s in seeds]
     dataset, out_dir = _open_run("ablate", args, config, seeds, gammas)
-    results = _run_jobs(_ablate_one, [(dataset, job) for job in job_configs], args.jobs)
+    labels = [f"gamma {job.gamma:.12g} seed {job.seed}" for job in job_configs]
+    results = _run_jobs(_ablate_one, [(dataset, job) for job in job_configs], labels, args.jobs)
     rows = []
     for gamma in gammas:
         accs = [acc for g, _, acc in results if g == gamma]
@@ -308,12 +314,12 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    config = load_config(args.config)
     dataset, _ = _load_dataset(args.dataset)
     print(json.dumps(dataset.summary(), sort_keys=True))
     if args.graph is not None:
         if not 0 <= args.graph < len(dataset):
             raise ValueError(f"--graph {args.graph} is outside the dataset's {len(dataset)} graphs")
-        config = load_config(args.config)
         params = training.initial_parameters(dataset, config).constants()
         with training.labelled("inspect trace"):
             _, trace = graph_precor_loss(dataset.graphs[args.graph], params, config)

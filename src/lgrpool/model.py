@@ -1,4 +1,5 @@
-"""Full model: parameter set and the per-graph loss tapes.
+"""Full model: the parameter set, which only ``init_parameters`` draws,
+and the per-graph loss tapes.
 
 The expectation tape holds the classification loss, computed at class
 width by ``propagation.classify``. The regularizer tape propagates the
@@ -20,7 +21,7 @@ from . import autodiff as ad
 from . import pooling, propagation
 from .autodiff import Value
 from .data import Graph
-from .pooling import PoolingParams, PoolingTrace
+from .pooling import PoolLayerParams, PoolingParams, PoolingTrace
 from .propagation import PropagationParams
 
 
@@ -63,11 +64,25 @@ def init_parameters(
     num_pool_layers: int,
     seed: int,
 ) -> ParameterSet:
+    """Glorot & Bengio's (2010) uniform weights and zero biases from one
+    generator, drawn in the order w1, w2, wc, then each pooling layer's w, a."""
     rng = np.random.default_rng(seed)
-    return ParameterSet(
-        prop=propagation.init_propagation_params(d_in, hidden, num_classes, rng),
-        pool=pooling.init_pooling_params(hidden, num_pool_layers, rng),
+
+    def glorot(fan_in: int, fan_out: int) -> Value:
+        lim = np.sqrt(6.0 / (fan_in + fan_out))
+        return ad.parameter(rng.uniform(-lim, lim, size=(fan_in, fan_out)))
+
+    prop = PropagationParams(
+        w1=glorot(d_in, hidden),
+        b1=ad.parameter(np.zeros((1, hidden))),
+        w2=glorot(hidden, hidden),
+        b2=ad.parameter(np.zeros((1, hidden))),
+        wc=glorot(hidden, num_classes),
+        bc=ad.parameter(np.zeros((1, num_classes))),
     )
+    layers = [PoolLayerParams(w=glorot(hidden, hidden), a=glorot(2 * hidden, 1))
+              for _ in range(num_pool_layers)]
+    return ParameterSet(prop, PoolingParams(layers))
 
 
 @dataclass

@@ -9,6 +9,7 @@ propagated one through the prediction-correction loss.
 
 Discrete survivor selection is constant under differentiation: gradients
 flow through the surviving scores' values, never through the selection.
+``model.init_parameters`` draws the per-layer parameters.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from . import autodiff as ad
 from .autodiff import Value
 # build_normalized_adjacency is not called here: perfbench's layer trace wraps it.
 from .data import build_normalized_adjacency, canonical_edges  # noqa: F401
-from .propagation import glorot
 
 GATE_FLOOR = 1e-6
 SPREAD_CLAMP = 10.0
@@ -46,17 +46,6 @@ class PoolingParams:
         return PoolingParams(
             [PoolLayerParams(*(ad.constant(getattr(x, f.name).data) for f in fields(x))) for x in self.layers]
         )
-
-
-def init_pooling_params(
-    hidden: int, num_layers: int, rng: np.random.Generator
-) -> PoolingParams:
-    return PoolingParams(
-        layers=[
-            PoolLayerParams(w=glorot(rng, hidden, hidden), a=glorot(rng, 2 * hidden, 1))
-            for _ in range(num_layers)
-        ]
-    )
 
 
 @dataclass

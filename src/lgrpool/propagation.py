@@ -7,13 +7,12 @@ PPR, the MLP's second layer and the classifier head are all linear, so
 the graph prediction folds the second layer into the head and
 propagates class logits (c columns) rather than hidden features
 (h columns); in exact arithmetic the result is the same. Only pooling
-reads the hidden-width propagated matrix.
+reads the hidden-width propagated matrix. ``model.init_parameters`` draws
+the parameters.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value
@@ -37,25 +36,6 @@ class PropagationParams:
     def constants(self) -> "PropagationParams":
         """The same arrays as constants, so no tape reaches them."""
         return PropagationParams(*(ad.constant(v.data) for _, v in self.items()))
-
-
-def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Value:
-    """A (fan_in, fan_out) parameter drawn from Glorot & Bengio's (2010) uniform."""
-    lim = np.sqrt(6.0 / (fan_in + fan_out))
-    return ad.parameter(rng.uniform(-lim, lim, size=(fan_in, fan_out)))
-
-
-def init_propagation_params(
-    d_in: int, hidden: int, num_classes: int, rng: np.random.Generator
-) -> PropagationParams:
-    return PropagationParams(
-        w1=glorot(rng, d_in, hidden),
-        b1=ad.parameter(np.zeros((1, hidden))),
-        w2=glorot(rng, hidden, hidden),
-        b2=ad.parameter(np.zeros((1, hidden))),
-        wc=glorot(rng, hidden, num_classes),
-        bc=ad.parameter(np.zeros((1, num_classes))),
-    )
 
 
 def mlp_forward(x: Value, params: PropagationParams) -> Value:

@@ -670,12 +670,16 @@ def test_crashed_worker_exits_4_with_one_line(toy_dir, cfg_file, tmp_path, monke
         return fit(dataset, config)
 
     monkeypatch.setattr(cli, "_fit", crashing_fit)
+    out = tmp_path / "out"
     rc = main(["train", "--dataset", toy_dir, "--config", cfg_file, "--seeds", "0,1",
-               "--jobs", "2", "--out", str(tmp_path / "out")])
+               "--jobs", "2", "--out", str(out)])
     err = capfd.readouterr().err
     assert rc == 4
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert err.startswith("error: a worker process died; ") and err.endswith(" of 2 jobs finished\n")
+    head, _, named = err.rstrip("\n").partition(" jobs finished; no result for ")
+    assert head.startswith("error: a worker process died; ") and head.endswith(" of 2")
+    no_metrics = [f"seed {s}" for s in (0, 1) if not (out / f"metrics_seed{s}.csv").exists()]
+    assert named.split(", ") == no_metrics
     assert multiprocessing.active_children() == []
 
 
@@ -751,7 +755,7 @@ def test_metrics_and_ablation_csv_bytes(toy_dir, cfg_file, tmp_path, monkeypatch
     # Per-seed accuracies whose mean and std are the rows (0.1, 0.875, 0.125) and (0.3, 1/3, 0.0).
     accs = {(0.1, 0): 0.75, (0.1, 1): 1.0, (0.3, 0): 1 / 3, (0.3, 1): 1 / 3}
     monkeypatch.setattr(
-        cli, "_run_jobs", lambda worker, jobs, n: [(c.gamma, c.seed, accs[c.gamma, c.seed]) for _, c in jobs]
+        cli, "_run_jobs", lambda worker, jobs, labels, n: [(c.gamma, c.seed, accs[c.gamma, c.seed]) for _, c in jobs]
     )
     out = tmp_path / "ablate"
     rc = main(
@@ -902,9 +906,19 @@ def test_inspect_graph_rejects_a_config_seed(toy_dir, tmp_path, capsys):
     cfg.write_text(CONFIG_TEXT + "seed = 5\n")
     assert main(["inspect", "--dataset", toy_dir, "--config", str(cfg), "--graph", "3"]) == 1
     captured = capsys.readouterr()
-    assert json.loads(captured.out)["graphs"] == 10
+    assert captured.out == ""
     seed_line = CONFIG_TEXT.count("\n") + 1
     assert captured.err == f"error: {cfg}:{seed_line}: seed is not a config key; use --seeds\n"
+
+
+def test_inspect_reads_the_config_without_graph(toy_dir, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONFIG_TEXT + "bogus = 1\n")
+    assert main(["inspect", "--dataset", toy_dir, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    bogus_line = CONFIG_TEXT.count("\n") + 1
+    assert captured.err == f"error: {cfg}:{bogus_line}: unknown config key 'bogus'\n"
 
 
 def test_inspect_rejects_graph_ids_out_of_order(tmp_path, capsys):

@@ -36,4 +36,4 @@ def raise_shape_mismatch(n):
 
 def test_shape_mismatch_crosses_a_process_pool():
     with pytest.raises(ShapeMismatch, match=r"worker: incompatible shapes \(2, 1\) and \(1, 2\)"):
-        _run_jobs(raise_shape_mismatch, [(2,), (3,)], num_jobs=2)
+        _run_jobs(raise_shape_mismatch, [(2,), (3,)], ["n 2", "n 3"], num_jobs=2)

@@ -12,7 +12,6 @@ from lgrpool.pooling import (
     PoolingParams,
     contract_graph,
     hierarchical_pool,
-    init_pooling_params,
     normalize_scores,
     prediction_correction_loss,
     score_edges,
@@ -154,7 +153,7 @@ def test_contract_path_with_middle_edge():
 def test_single_node_graph_depth_zero():
     graph = make_graph(1, [])
     z = ad.constant(np.ones((1, 3)))
-    params = init_pooling_params(3, 4, np.random.default_rng(6))
+    params = init_parameters(3, 3, 2, 4, seed=6).pool
     trace = hierarchical_pool(graph, z, params, 0.5)
     assert trace.effective_depth == 0
     assert trace.composed_map.tolist() == [0]
@@ -164,7 +163,7 @@ def test_single_node_graph_depth_zero():
 def test_two_node_graph_stops_before_any_layer():
     graph = make_graph(2, [(0, 1)])
     z = ad.constant(np.random.default_rng(7).normal(size=(2, 3)))
-    params = init_pooling_params(3, 5, np.random.default_rng(7))
+    params = init_parameters(3, 3, 2, 5, seed=7).pool
     trace = hierarchical_pool(graph, z, params, 0.5)
     assert trace.effective_depth == 0
     assert trace.z_cor is z

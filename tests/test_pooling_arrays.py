@@ -12,9 +12,10 @@ from lgrpool.data import Graph, build_normalized_adjacency
 from lgrpool.pooling import (
     GATE_FLOOR,
     NormalizedScores,
+    PoolingParams,
+    PoolLayerParams,
     contract_graph,
     hierarchical_pool,
-    init_pooling_params,
     normalize_scores,
     score_edges,
 )
@@ -139,6 +140,13 @@ def random_case(rng, kind):
     return make_graph(n, edges), s_thre
 
 
+def random_layer(rng):
+    return PoolLayerParams(
+        w=ad.parameter(rng.normal(size=(HIDDEN, HIDDEN))),
+        a=ad.parameter(rng.normal(size=(2 * HIDDEN, 1))),
+    )
+
+
 def assert_same(a, b, what):
     a, b = np.asarray(a), np.asarray(b)
     assert a.dtype == b.dtype and a.shape == b.shape, what
@@ -152,10 +160,7 @@ def test_array_pooling_matches_per_edge_oracles_bitwise():
         rng = np.random.default_rng(5000 + case)
         kind = kinds[case % len(kinds)]
         graph, s_thre = random_case(rng, kind)
-        params = init_pooling_params(HIDDEN, NUM_LAYERS, rng)
-        for layer in params.layers:
-            layer.w.data[...] = rng.normal(size=layer.w.data.shape)
-            layer.a.data[...] = rng.normal(size=layer.a.data.shape)
+        params = PoolingParams([random_layer(rng) for _ in range(NUM_LAYERS)])
         z = ad.constant(rng.normal(size=(graph.num_nodes, HIDDEN)))
 
         got = hierarchical_pool(graph, z, params, s_thre)
@@ -209,7 +214,7 @@ def test_list_and_array_edges_agree():
     n = 12
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
     z = ad.constant(rng.normal(size=(n, HIDDEN)))
-    layer = init_pooling_params(HIDDEN, 1, rng).layers[0]
+    layer = random_layer(rng)
     ends = np.asarray(edges, dtype=np.int64)
     results = []
     for form in (edges, ends):

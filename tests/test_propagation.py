@@ -4,11 +4,11 @@ import pytest
 from lgrpool import autodiff as ad
 from lgrpool.data import build_normalized_adjacency
 from lgrpool.errors import LabelOutOfRange, ShapeMismatch
+from lgrpool.model import init_parameters
 from lgrpool.propagation import (
     PropagationParams,
     classify,
     expectation_loss,
-    init_propagation_params,
     mlp_forward,
     ppr_propagate,
 )
@@ -51,7 +51,7 @@ def test_mlp_identity_composition():
 
 def test_mlp_is_row_equivariant():
     rng = np.random.default_rng(1)
-    params = init_propagation_params(3, 5, 2, rng)
+    params = init_parameters(3, 5, 2, 0, seed=1).prop
     x = rng.normal(size=(7, 3))
     perm = rng.permutation(7)
     a = mlp_forward(ad.constant(x), params).data
@@ -142,10 +142,10 @@ def test_ppr_validates_alpha_and_k():
 
 def random_head(rng, d_in=3, hidden=4, num_classes=3):
     """Random propagation parameters with nonzero biases."""
-    params = init_propagation_params(d_in, hidden, num_classes, rng)
-    params.b2 = ad.parameter(rng.normal(size=(1, hidden)))
-    params.bc = ad.parameter(rng.normal(size=(1, num_classes)))
-    return params
+    shapes = [
+        (d_in, hidden), (1, hidden), (hidden, hidden), (1, hidden), (hidden, num_classes), (1, num_classes)
+    ]
+    return PropagationParams(*(ad.parameter(rng.normal(size=shape)) for shape in shapes))
 
 
 def test_classify_single_node_mean():
